@@ -22,8 +22,7 @@ from repro.frontend import (
 from repro.vuc import (
     VariableExtent,
     VucDataset,
-    extract_vuc,
-    generalize_window,
+    VucStream,
     group_targets,
     locate_targets,
 )
@@ -36,26 +35,31 @@ def build_real_dataset() -> VucDataset:
     artifact = compile_sample()
     functions = user_functions(parse_disassembly(artifact.disassembly))
     variables = extract_real_variables(artifact.dwarf_dump)
-    dataset = VucDataset()
+    stream = VucStream()
+    labels = []
     for func in functions:
         func_vars = [v for v in variables if v.function == func.name]
         if not func_vars:
             continue
         extents = [VariableExtent(v.name, "rbp", v.rbp_offset, max(v.size, 1))
                    for v in func_vars]
-        labels = {(e.base, e.offset): v.label for e, v in zip(extents, func_vars)}
+        by_extent = {(e.base, e.offset): v.label for e, v in zip(extents, func_vars)}
         targets = locate_targets(func)
+        indices, variable_ids = [], []
         for group in group_targets(targets, extents, f"real/{func.name}"):
-            label = labels[(group.extent.base, group.extent.offset)]
+            label = by_extent[(group.extent.base, group.extent.offset)]
             for target in group.targets:
-                vuc = extract_vuc(func, target.index)
-                dataset.samples.append(LabeledVuc(
-                    tokens=generalize_window(vuc.window),
-                    label=label,
-                    variable_id=group.variable_id,
-                    binary="real/sample", app="sample", compiler="gcc",
-                ))
-    return dataset
+                indices.append(target.index)
+                variable_ids.append(group.variable_id)
+                labels.append(label)
+        # One token stream per binary: each covered instruction is
+        # generalized once, and every VUC is a 21-instruction slice of it.
+        stream.add_function(func, indices, variable_ids)
+    return VucDataset(samples=[
+        LabeledVuc(tokens=tokens, label=label, variable_id=variable_id,
+                   binary="real/sample", app="sample", compiler="gcc")
+        for tokens, label, variable_id in zip(stream.windows(), labels, stream.variable_ids)
+    ])
 
 
 def main() -> None:

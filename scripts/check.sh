@@ -8,8 +8,10 @@
 #   --docs     run the docs-drift gate only (scripts/check_docs.py):
 #              EXPERIMENTS.md matches its generator section-for-section,
 #              every public CatiConfig field is documented in
-#              docs/OPERATIONS.md, and docs/DEPLOYMENT.md exists with
-#              the serving knobs covered and cross-linked.
+#              docs/OPERATIONS.md, docs/DEPLOYMENT.md exists with
+#              the serving knobs covered and cross-linked, and every
+#              span name recorded in core/engine.py or vuc/ is named
+#              in docs/OPERATIONS.md.
 #   --serve    run the serving smoke only (scripts/smoke_serve.py):
 #              train a mini model, launch `python -m repro serve` as a
 #              subprocess, check healthz / packed infer / hot reload /

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-drift gate (run via ``scripts/check.sh --docs``).
 
-Three checks:
+Checks:
 
 1. Every section title the EXPERIMENTS.md generator
    (``scripts/generate_experiments_md.py``) emits exists as a ``##``
@@ -22,6 +22,11 @@ Three checks:
    ``repro repl`` / ``--repl`` surfaces, docs/ARCHITECTURE.md
    describes ``repro.analysis``, and README.md shows the repl
    quickstart.
+6. Every span name the engine (``src/repro/core/engine.py``) or the
+   feature extractor (``src/repro/vuc/``) records — the string literal
+   passed to a ``span(...)``/``_span(...)`` call — is named, in
+   backticks, in docs/OPERATIONS.md — catches a renamed span the span
+   table still lists under its old name.
 
 Exits non-zero listing every discrepancy; prints nothing but a one-line
 OK otherwise.
@@ -157,6 +162,40 @@ def check_session_docs(problems: list[str]) -> None:
         problems.append("README.md lacks the repl quickstart")
 
 
+SPAN_SOURCES = ("src/repro/core/engine.py", "src/repro/vuc")
+
+
+def span_names(path: Path) -> set[str]:
+    """First-argument string literals of ``span``/``_span`` calls in ``path``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            continue
+        func = node.func
+        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if called in ("span", "_span"):
+            names.add(node.args[0].value)
+    return names
+
+
+def check_span_docs(problems: list[str]) -> None:
+    """Every engine/extractor span name appears in docs/OPERATIONS.md."""
+    ops = REPO_ROOT / "docs" / "OPERATIONS.md"
+    if not ops.exists():
+        return
+    text = ops.read_text()
+    for source in SPAN_SOURCES:
+        root = REPO_ROOT / source
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            for name in sorted(span_names(path)):
+                if f"`{name}`" not in text:
+                    problems.append(
+                        f"docs/OPERATIONS.md does not name span {name!r} "
+                        f"({path.relative_to(REPO_ROOT)})")
+
+
 def main() -> int:
     problems: list[str] = []
     check_experiments_md(problems)
@@ -164,12 +203,13 @@ def main() -> int:
     check_deployment_md(problems)
     check_posterior_docs(problems)
     check_session_docs(problems)
+    check_span_docs(problems)
     if problems:
         for problem in problems:
             print(f"DOCS DRIFT: {problem}", file=sys.stderr)
         return 1
     print("docs checks OK (EXPERIMENTS.md sections + CatiConfig coverage"
-          " + DEPLOYMENT.md graph)")
+          " + DEPLOYMENT.md graph + span names)")
     return 0
 
 

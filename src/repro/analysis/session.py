@@ -8,10 +8,10 @@ id tensor the engine consumes.  Every subsequent tool call against the
 session reuses that state, so the per-question cost of ``type_variable``
 or ``annotate_disassembly`` is one small engine call, not a re-parse.
 
-The extraction/encode pass is byte-for-byte the offline
-``Cati.infer_binary`` front half (:func:`repro.vuc.dataset
-.extract_unlabeled_vucs` with the same window/scope conventions), which
-is what makes the session tools' outputs equal to the offline paths.
+The extraction/encode pass is the offline ``Cati.infer_binary`` front
+half (:func:`repro.vuc.stream.extract_vuc_stream`, encoded once through
+:meth:`~repro.embedding.encoder.VucEncoder.encode_stream`), which is
+what makes the session tools' outputs equal to the offline paths.
 
 Reload interplay: the id tensor remembers the engine *generation* it
 was encoded under.  The micro-batch scheduler only trusts pre-encoded
@@ -156,17 +156,14 @@ def build_session(session_id: str, stripped: Binary,
                   on_error: str = "skip",
                   failures: FailureReport | None = None) -> AnalysisSession:
     """Open-time pass: extract, group, encode — once — into a session."""
-    from repro.vuc.dataset import extract_unlabeled_vucs
+    from repro.vuc.stream import extract_vuc_stream
 
-    sites: list[AccessSite] = []
     with observability.span("sessions.extract"):
-        pairs = extract_unlabeled_vucs(
+        stream = extract_vuc_stream(
             stripped, extents, config.window, on_error=on_error,
-            failures=failures, metrics=config.metrics_enabled, sites=sites)
-    windows = [tokens for _variable_id, tokens in pairs]
-    variable_ids = [variable_id for variable_id, _tokens in pairs]
-    ids = (encoder.encode_ids(windows, length=config.vuc_length)
-           if windows else None)
+            failures=failures, metrics=config.metrics_enabled, sites=True)
+    variable_ids = stream.variable_ids
+    ids = encoder.encode_stream(stream) if len(stream) else None
     extracted = set(variable_ids)
     annotations: list[dict[int, str]] = []
     for func_index, func in enumerate(stripped.functions):
@@ -188,8 +185,8 @@ def build_session(session_id: str, stripped: Binary,
                             for index, variable_id in mapping.items()
                             if variable_id in extracted})
     return AnalysisSession(
-        session_id, stripped, extents, windows=windows,
-        variable_ids=variable_ids, sites=sites, ids=ids,
+        session_id, stripped, extents, windows=stream.windows(),
+        variable_ids=variable_ids, sites=stream.sites, ids=ids,
         generation=generation, annotations=annotations)
 
 

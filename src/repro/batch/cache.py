@@ -36,10 +36,14 @@ Design contract — the cache is an *accelerator*, never an authority:
   record's CRC; a flipped byte (or a record whose index entry outlived
   the bytes) is counted, logged, dropped and transparently recomputed
   by the engine — never returned, never fatal;
-* **verified index** — ``index.json`` carries its own SHA-256 and the
-  byte extent of every segment it covers; if it is missing, damaged, or
-  behind the segments on disk, the affected segments are (re)scanned
-  record by record.
+* **verified index, written once per store** — :meth:`WindowCacheStore.flush`
+  only flushes and fsyncs the active segment, so its cost does not grow
+  with the entries already stored; :meth:`WindowCacheStore.close` writes
+  ``index.json``.  The index carries its own SHA-256 and the byte extent
+  of every segment it covers; if it is missing, damaged, or behind the
+  segments on disk (a writer killed after flushing but before closing),
+  the uncovered segment bytes are scanned record by record on open, so
+  every flushed record is recovered.
 
 Observability: ``batch.cache.hits`` / ``batch.cache.misses`` /
 ``batch.cache.corrupt_records`` / ``batch.cache.appends`` counters plus
@@ -339,21 +343,25 @@ class WindowCacheStore:
         if appended and observability.is_enabled():
             observability.inc("batch.cache.appends", appended)
 
+    def _flush_segment(self) -> None:
+        if self._active is not None:
+            self._active.flush()
+            if self._fsync:
+                os.fsync(self._active.fileno())
+                fsync_dir(self.directory)
+
     def flush(self) -> None:
-        """Make appended records durable and rewrite the verified index."""
+        """Make appended records durable; the index waits for :meth:`close`."""
         with self._lock:
-            if self._active is not None:
-                self._active.flush()
-                if self._fsync:
-                    os.fsync(self._active.fileno())
-                    fsync_dir(self.directory)
+            self._flush_segment()
+
+    def close(self) -> None:
+        """Flush, write the verified index if anything changed, release files."""
+        with self._lock:
+            self._flush_segment()
             if self._dirty:
                 self._write_index()
                 self._dirty = False
-
-    def close(self) -> None:
-        self.flush()
-        with self._lock:
             for handle in self._readers.values():
                 handle.close()
             self._readers.clear()

@@ -95,8 +95,8 @@ from repro.nn.layers import quantize_rows_int8
 from repro.nn.losses import softmax
 from repro.nn.model import layer_kind
 from repro.vuc.dataflow import VariableExtent
-from repro.vuc.dataset import extract_unlabeled_vucs
 from repro.vuc.generalize import BLANK_TOKENS, Tokens
+from repro.vuc.stream import extract_vuc_stream
 
 
 @dataclass
@@ -786,6 +786,11 @@ class InferenceEngine:
                      structs: bool | None = None) -> InferenceResult:
         """Engine-path whole-binary inference (Fig. 3e-f).
 
+        Extraction builds one token stream per binary
+        (:func:`~repro.vuc.stream.extract_vuc_stream`); the stream is
+        encoded once and its windows gathered by center offset straight
+        into :meth:`leaf_proba_ids`.
+
         With ``on_error="skip"``, extraction is fault-isolated per
         function: damaged functions are recorded into the result's
         :attr:`~InferenceResult.failures` report (and into ``failures``
@@ -795,79 +800,43 @@ class InferenceEngine:
 
         ``structs`` (default :attr:`CatiConfig.posterior_enabled`) turns
         on the posterior struct-recovery stage: per-variable predictions
-        are computed identically, and recovered layouts are attached as
-        :attr:`InferenceResult.layouts`.
+        are computed identically from the same leaf posteriors, and
+        recovered layouts are attached as :attr:`InferenceResult.layouts`.
         """
+        from repro.core.pipeline import predictions_from_probs
+
         check_on_error(on_error)
         if structs is None:
             structs = self.config.posterior_enabled
-        if structs:
-            return self._infer_binary_structs(stripped, extents_by_function,
-                                              on_error, failures)
         report = FailureReport()
-        with self._span("infer_binary"):
-            with self._span("extract"):
-                pairs = extract_unlabeled_vucs(
-                    stripped, extents_by_function, self.config.window,
-                    on_error=on_error, failures=report,
-                    metrics=self.config.metrics_enabled,
-                )
-            predictions: list = []
-            if pairs:
-                try:
-                    predictions = self.predict_variables(
-                        [tokens for _variable_id, tokens in pairs],
-                        [variable_id for variable_id, _tokens in pairs],
-                    )
-                except Exception as exc:
-                    handle_failure(exc, on_error=on_error, failures=report,
-                                   stage="classify", binary=stripped.name)
-        if failures is not None:
-            failures.extend(report)
-        metrics = observability.snapshot() if self._metrics_on() else None
-        return InferenceResult(predictions, failures=report, metrics=metrics)
-
-    def _infer_binary_structs(self, stripped: Binary,
-                              extents_by_function: list[list[VariableExtent]],
-                              on_error: str,
-                              failures: FailureReport | None) -> InferenceResult:
-        """The structs-enabled twin of :meth:`infer_binary`.
-
-        Kept separate so the default path stays untouched: here the leaf
-        posteriors are computed once and reused for both the per-variable
-        vote and the per-field posterior stage, and extraction also
-        returns the row-aligned access sites the posterior groups by.
-        """
-        from repro.core.pipeline import predictions_from_probs
-        from repro.posterior import recover_layouts
-        from repro.vuc.dataflow import AccessSite
-
-        report = FailureReport()
-        sites: list[AccessSite] = []
         predictions: list = []
-        layouts: list = []
+        layouts: list | None = [] if structs else None
         with self._span("infer_binary"):
             with self._span("extract"):
-                pairs = extract_unlabeled_vucs(
+                stream = extract_vuc_stream(
                     stripped, extents_by_function, self.config.window,
                     on_error=on_error, failures=report,
-                    metrics=self.config.metrics_enabled, sites=sites,
-                )
-            if pairs:
+                    metrics=self.config.metrics_enabled, sites=structs)
+            if len(stream):
                 try:
-                    windows = [tokens for _variable_id, tokens in pairs]
-                    variable_ids = [variable_id for variable_id, _tokens in pairs]
-                    probs = self.leaf_proba(windows)
+                    with self._span("encode"):
+                        ids = self.encoder.encode_stream(stream)
+                    with self._span("classify"):
+                        probs = self.leaf_proba_ids(ids)
                     with self._span("vote"):
                         predictions = predictions_from_probs(
-                            probs, variable_ids, self.config.confidence_threshold,
+                            probs, stream.variable_ids,
+                            self.config.confidence_threshold,
                             metrics=self._metrics_on(),
                             vote_detail=self.config.metrics_vote_detail)
-                    with self._span("posterior"):
-                        layouts = recover_layouts(
-                            predictions, probs, variable_ids, sites,
-                            threshold=self.config.confidence_threshold,
-                            min_accesses=self.config.posterior_min_accesses)
+                    if structs:
+                        from repro.posterior import recover_layouts
+
+                        with self._span("posterior"):
+                            layouts = recover_layouts(
+                                predictions, probs, stream.variable_ids, stream.sites,
+                                threshold=self.config.confidence_threshold,
+                                min_accesses=self.config.posterior_min_accesses)
                 except Exception as exc:
                     handle_failure(exc, on_error=on_error, failures=report,
                                    stage="classify", binary=stripped.name)

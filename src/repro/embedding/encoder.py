@@ -12,7 +12,9 @@ The only per-encoder state is the flat ``intern_id → vocabulary
 id-triple`` array, grown in id order as new triples appear.
 ``encode_ids`` exposes the ``[N, L, 3]`` token-id tensor the inference
 engine uses for content-hash deduplication without materializing
-embeddings; ``encode_packed_ids`` decodes the serving wire format
+embeddings; ``encode_stream`` builds the same tensor from a per-binary
+token stream, encoding each instruction once and gathering windows by
+center offset; ``encode_packed_ids`` decodes the serving wire format
 through the process-wide line memo, never building throwaway tuples.
 """
 
@@ -27,6 +29,7 @@ import numpy as np
 from repro.embedding.word2vec import Word2Vec
 from repro.vuc.generalize import Tokens
 from repro.vuc.intern import intern_line, intern_tokens, interned_by_id
+from repro.vuc.stream import VucStream
 
 _intern_id_of = operator.attrgetter("intern_id")
 
@@ -106,6 +109,21 @@ class VucEncoder:
             raise ValueError("all windows must share the same length")
         idx = self._intern_ids(flat)
         return self._rows_for(idx)[idx].reshape(n, inferred, 3)
+
+    def encode_stream(self, stream: VucStream) -> np.ndarray:
+        """A binary's token stream → [N, 2w+1, 3] int32 ids of its windows.
+
+        Encodes each stream slot once and gathers every window
+        ``tokens[c-w : c+w+1]`` by its center ``c``; the result equals
+        :meth:`encode_ids` over ``stream.windows()``, bit for bit.
+        """
+        window = stream.window
+        if not len(stream):
+            return np.zeros((0, 2 * window + 1, 3), dtype=np.int32)
+        idx = self._intern_ids(stream.tokens)
+        rows = self._rows_for(idx)[idx]
+        offsets = np.arange(-window, window + 1)
+        return rows[np.asarray(stream.centers)[:, None] + offsets]
 
     def encode_packed_ids(
         self,

@@ -95,29 +95,31 @@ def load_binary(path, on_error: str = "raise") -> LoadedBinary:
 
 def extract_labeled_vucs_native(loaded: LoadedBinary, app: str = "native", window: int = 10):
     """Build a labeled VucDataset from a natively loaded real binary."""
-    from repro.vuc.context import extract_vuc
     from repro.vuc.dataflow import VariableExtent, group_targets
     from repro.vuc.dataset import LabeledVuc, VucDataset
-    from repro.vuc.generalize import generalize_window
     from repro.vuc.locate import locate_targets
+    from repro.vuc.stream import VucStream
 
-    dataset = VucDataset(window=window)
+    stream = VucStream(window)
+    labels: list[str] = []
     for func in loaded.functions:
         func_vars = [v for v in loaded.variables if v.function == func.name]
         if not func_vars:
             continue
         extents = [VariableExtent(v.name, "rbp", v.rbp_offset, max(v.size, 1))
                    for v in func_vars]
-        labels = {(e.base, e.offset): v.label for e, v in zip(extents, func_vars)}
-        targets = locate_targets(func)
-        for group in group_targets(targets, extents, f"{app}/{func.name}"):
-            label = labels[(group.extent.base, group.extent.offset)]
+        by_extent = {(e.base, e.offset): v.label for e, v in zip(extents, func_vars)}
+        indices: list[int] = []
+        variable_ids: list[str] = []
+        for group in group_targets(locate_targets(func), extents, f"{app}/{func.name}"):
+            label = by_extent[(group.extent.base, group.extent.offset)]
             for target in group.targets:
-                vuc = extract_vuc(func, target.index, window)
-                dataset.samples.append(LabeledVuc(
-                    tokens=generalize_window(vuc.window),
-                    label=label,
-                    variable_id=group.variable_id,
-                    binary=loaded.path, app=app, compiler="gcc",
-                ))
-    return dataset
+                indices.append(target.index)
+                variable_ids.append(group.variable_id)
+                labels.append(label)
+        stream.add_function(func, indices, variable_ids)
+    return VucDataset(samples=[
+        LabeledVuc(tokens=tokens, label=label, variable_id=variable_id,
+                   binary=loaded.path, app=app, compiler="gcc")
+        for tokens, label, variable_id in zip(stream.windows(), labels, stream.variable_ids)
+    ], window=window)

@@ -24,6 +24,7 @@ from repro.vuc.generalize import (
     tokens_to_text,
 )
 from repro.vuc.locate import Target, TargetKind, locate_targets
+from repro.vuc.stream import VucStream, extract_vuc_stream
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -51,4 +52,6 @@ __all__ = [
     "Target",
     "TargetKind",
     "locate_targets",
+    "VucStream",
+    "extract_vuc_stream",
 ]

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 from repro.codegen.binary import Binary, debug_variables
 from repro.codegen.strip import strip
-from repro.core import observability
-from repro.core.errors import FailureReport, handle_failure
+from repro.core.errors import FailureReport
 from repro.core.types import TypeName
-from repro.vuc.context import DEFAULT_WINDOW, extract_vuc
-from repro.vuc.dataflow import AccessSite, VariableExtent, access_site, group_targets
-from repro.vuc.generalize import Tokens, generalize_instruction, generalize_window
+from repro.vuc.context import DEFAULT_WINDOW
+from repro.vuc.dataflow import AccessSite, VariableExtent, group_targets
+from repro.vuc.generalize import Tokens
 from repro.vuc.locate import locate_targets
+from repro.vuc.stream import VucStream, extract_vuc_stream
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def extract_labeled_vucs(
         records_by_function[record.function].append(record)
 
     stripped = strip(binary)
-    samples: list[LabeledVuc] = []
+    stream = VucStream(window)
+    labels: list[TypeName] = []
     for func_index, (orig_func, stripped_func) in enumerate(
             zip(binary.functions, stripped.functions)):
         func_records = records_by_function.get(orig_func.name, [])
@@ -156,19 +157,22 @@ def extract_labeled_vucs(
         truth_by_index = {}
         if member_labels and func_index < len(binary.lowered):
             truth_by_index = binary.lowered[func_index].member_truth_by_instruction()
+        indices: list[int] = []
+        variable_ids: list[str] = []
         for group in group_targets(targets, extents, scope):
             label = labels_by_extent[(group.extent.base, group.extent.offset)]
             for target in group.targets:
                 member = truth_by_index.get(target.index)
-                vuc = extract_vuc(stripped_func, target.index, window)
-                samples.append(LabeledVuc(
-                    tokens=generalize_window(vuc.window),
-                    label=member.label if member is not None else label,
-                    variable_id=group.variable_id,
-                    binary=f"{binary.name}/{binary.compiler}-O{binary.opt_level}",
-                    app=app,
-                    compiler=binary.compiler,
-                ))
+                indices.append(target.index)
+                variable_ids.append(group.variable_id)
+                labels.append(member.label if member is not None else label)
+        stream.add_function(stripped_func, indices, variable_ids)
+    tag = f"{binary.name}/{binary.compiler}-O{binary.opt_level}"
+    samples = [
+        LabeledVuc(tokens=tokens, label=label, variable_id=variable_id,
+                   binary=tag, app=app, compiler=binary.compiler)
+        for tokens, label, variable_id in zip(stream.windows(), labels, stream.variable_ids)
+    ]
     return VucDataset(samples=samples, window=window)
 
 
@@ -183,54 +187,19 @@ def extract_unlabeled_vucs(
 ) -> list[tuple[str, tuple[Tokens, ...]]]:
     """Inference-side extraction: (variable_id, tokens) pairs.
 
-    ``extents_by_function`` supplies the given variable locations
-    (§VII-B's assumption); inference has no labels.
-
-    Extraction is fault-isolated per function: with ``on_error="skip"``
-    a function whose listing cannot be located/windowed (undecodable
-    bytes, hostile instructions) is recorded into ``failures`` and
-    dropped, and every healthy function still contributes its VUCs.
-
-    With ``metrics`` (callers pass ``CatiConfig.metrics_enabled``),
-    per-function ``locate``/``window`` spans are recorded into the
-    global registry, nested under whatever span the caller holds.
-
-    When ``sites`` is given, one :class:`AccessSite` per returned pair is
-    appended to it, index-aligned with the result (the posterior
-    struct-recovery stage joins them against per-VUC leaf posteriors).
-    Skipped functions contribute neither pairs nor sites, so alignment
-    survives ``on_error="skip"``.
+    The windows of :func:`~repro.vuc.stream.extract_vuc_stream` as
+    token tuples, for callers that need text (serve jobs, experiments);
+    the arguments and the fault isolation are that function's.  When
+    ``sites`` is given, one :class:`AccessSite` per returned pair is
+    appended to it, index-aligned with the result; skipped functions
+    contribute neither pairs nor sites.
     """
-    out: list[tuple[str, tuple[Tokens, ...]]] = []
-    registry = observability.get_registry() if metrics else observability.MetricsRegistry(
-        enabled=False)
-    for func_index, func in enumerate(stripped.functions):
-        extents = extents_by_function[func_index] if func_index < len(extents_by_function) else []
-        if not extents:
-            continue
-        scope = f"{stripped.name}/{func_index}"
-        func_out: list[tuple[str, tuple[Tokens, ...]]] = []
-        func_sites: list[AccessSite] = []
-        try:
-            with registry.span("locate"):
-                targets = locate_targets(func)
-                groups = group_targets(targets, extents, scope)
-            with registry.span("window"):
-                for group in groups:
-                    for target in group.targets:
-                        vuc = extract_vuc(func, target.index, window)
-                        func_out.append((group.variable_id, generalize_window(vuc.window)))
-                        if sites is not None:
-                            func_sites.append(access_site(target, group.extent, group.variable_id))
-        except Exception as exc:
-            handle_failure(exc, on_error=on_error, failures=failures,
-                           stage="extract", binary=stripped.name,
-                           function=getattr(func, "name", scope))
-            continue
-        out.extend(func_out)
-        if sites is not None:
-            sites.extend(func_sites)
-    return out
+    stream = extract_vuc_stream(stripped, extents_by_function, window,
+                                on_error=on_error, failures=failures,
+                                metrics=metrics, sites=sites is not None)
+    if sites is not None:
+        sites.extend(stream.sites)
+    return list(zip(stream.variable_ids, stream.windows()))
 
 
 def target_signature(sample: LabeledVuc) -> str:

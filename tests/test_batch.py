@@ -244,6 +244,25 @@ class TestJobLifecycle:
             assert [p["predicted"] for p in got] == \
                    [str(d.predicted) for d in direct]
 
+    def test_job_writes_cache_index_once(self, tmp_path, mini_bundle_dir,
+                                         monkeypatch):
+        from repro.batch.cache import WindowCacheStore
+
+        writes = []
+        original = WindowCacheStore._write_index
+
+        def counting(store):
+            writes.append(store.directory)
+            original(store)
+
+        monkeypatch.setattr(WindowCacheStore, "_write_index", counting)
+        spec = small_spec(5)  # three shards of at most two items
+        results = run_job(tmp_path / "job", spec, model_dir=mini_bundle_dir,
+                          cache_dir=tmp_path / "cache")
+        assert results["shards_run"] == 3
+        assert results["window_cache"]["appends"] > 0
+        assert len(writes) == 1
+
     def test_results_committed_and_status_complete(self, tmp_path,
                                                    mini_bundle_dir):
         job_dir = tmp_path / "job"

@@ -102,6 +102,38 @@ class TestPersistence:
         assert len(reopened.get_many([raw for raw, _ in pairs])) == 4
         reopened.close()
 
+    def test_flushed_store_reopens_without_close(self, tmp_path):
+        """A writer killed after flush() but before close() loses nothing."""
+        indexed, flushed = rows(4), rows(9)[4:]
+        with make_store(tmp_path) as store:
+            store.put_many(indexed)
+        index = store.directory / "index.json"
+        before = index.read_bytes()
+        writer = make_store(tmp_path)
+        writer.put_many(flushed[:2])
+        writer.flush()
+        writer.put_many(flushed[2:])
+        writer.flush()
+        assert index.read_bytes() == before  # flush leaves the index alone
+        reopened = make_store(tmp_path)
+        got = reopened.get_many([raw for raw, _ in indexed + flushed])
+        assert len(got) == len(indexed + flushed)
+        for raw, row in indexed + flushed:
+            assert got[raw].tobytes() == row.tobytes()
+        reopened.close()
+        writer.close()
+
+    def test_close_writes_the_index_flush_does_not(self, tmp_path):
+        store = make_store(tmp_path)
+        store.put_many(rows(3))
+        store.flush()
+        assert not (store.directory / "index.json").exists()
+        store.close()
+        assert (store.directory / "index.json").exists()
+        with make_store(tmp_path) as reopened:
+            assert reopened.stats["segments_scanned"] == 0
+            assert len(reopened) == 3
+
     def test_model_key_namespaces_are_isolated(self, tmp_path):
         pairs = rows(3)
         with make_store(tmp_path, key="model-a") as store:
