@@ -1,7 +1,7 @@
 """Benchmark fixtures: the full trained contexts, cached on disk.
 
 The first run trains CATI on the full GCC (and, for Table VII, Clang)
-corpus (~5 minutes each on one CPU core); subsequent runs reload the
+corpus (~3 minutes each on a 2-core x86-64 box); subsequent runs reload the
 cached models from ``.cache/`` in seconds.  Each bench then measures the
 table/figure *generation* step and prints the reproduced table next to
 the paper's reference values.

@@ -6,9 +6,10 @@ token stream, with the standard SGNS approximation of the softmax.  The
 output dimension is 32 per token, matching CATI.
 
 The trainer is fully vectorized: one SGD step processes a minibatch of
-(center, positive, negatives) triples with `np.add.at` scatter updates,
-which keeps a full training run on a corpus of a few million tokens in
-the tens of seconds on one CPU core.
+(center, positive, negatives) triples with `np.add.at` scatter updates
+on the flattened tables (:func:`scatter_add_rows`), which keeps a full
+training run on a corpus of a few million tokens in the tens of seconds
+on one CPU core.
 """
 
 from __future__ import annotations
@@ -39,6 +40,23 @@ class Word2VecConfig:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+def scatter_add_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """In-place ``np.add.at(table, rows, values)`` for a 2-D ``table``.
+
+    Scatters through the flattened table at ``row * dim + col``: numpy's
+    ``add.at`` has a fast path for a 1-D operand with a 1-D index, and
+    the flat form adds to each element in the same order as the 2-D
+    form (row ``i`` of ``values`` before row ``i + 1``), so the result
+    is bit-identical.  The table must be C-contiguous; reshaping any
+    other layout returns a copy, and the update would be silently lost.
+    """
+    if table.ndim != 2 or not table.flags.c_contiguous:
+        raise ValueError("scatter_add_rows needs a C-contiguous 2-D table")
+    dim = table.shape[1]
+    index = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    np.add.at(table.reshape(-1), index, values.reshape(-1))
 
 
 class Word2Vec:
@@ -144,9 +162,9 @@ class Word2Vec:
         grad_v_pos = grad_pos * v_center
         grad_v_neg = grad_neg * v_center[:, None, :]
 
-        np.add.at(self.vectors, centers, (-lr * grad_center).astype(np.float32))
-        np.add.at(self.context_vectors, positives, (-lr * grad_v_pos).astype(np.float32))
-        np.add.at(
+        scatter_add_rows(self.vectors, centers, (-lr * grad_center).astype(np.float32))
+        scatter_add_rows(self.context_vectors, positives, (-lr * grad_v_pos).astype(np.float32))
+        scatter_add_rows(
             self.context_vectors,
             negatives.reshape(-1),
             (-lr * grad_v_neg).reshape(-1, self.config.dim).astype(np.float32),

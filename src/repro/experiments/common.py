@@ -29,7 +29,8 @@ from repro.vuc.dataset import LabeledVuc, VucDataset
 #: Cache directory for trained models (overridable for tests).
 CACHE_ROOT = Path(os.environ.get("REPRO_CACHE", Path(__file__).resolve().parents[3] / ".cache"))
 
-#: Training-set VUC budget; keeps a full context build to minutes on 1 CPU.
+#: Training-set VUC budget; keeps a full context build (corpus + training)
+#: to about 3 minutes per compiler on a 2-core x86-64 box.
 TRAIN_BUDGET = 30_000
 
 

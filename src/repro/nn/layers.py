@@ -72,7 +72,11 @@ class Conv1d(Layer):
         assert self._cache is not None
         x_shape, cols = self._cache
         batch, length, channels = x_shape
-        self.d_weight[...] = np.einsum("blk,blo->ko", cols, grad)
+        # One BLAS GEMM over the flattened batch x length axis; an einsum
+        # over [B, L] never reaches BLAS.  The float64 products of the two
+        # differ by ~1e-13, far below the rounding into float32 d_weight.
+        self.d_weight[...] = (cols.reshape(-1, self.kernel_size * channels).T
+                              @ grad.reshape(-1, self.out_channels))
         self.d_bias[...] = grad.sum(axis=(0, 1))
         d_cols = grad @ self.weight.T                # [B, L, K*C]
         d_cols = d_cols.reshape(batch, length, self.kernel_size, channels)

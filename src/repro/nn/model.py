@@ -101,8 +101,7 @@ class Sequential:
             logits = self.forward(x[start:start + batch_size], training=False)
             chunks.append(softmax(logits))
         if not chunks:
-            n_out = 1
-            return np.zeros((0, n_out))
+            return np.zeros((0, self.layers[-1].weight.shape[1]))
         return np.concatenate(chunks)
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ def mini_config():
 
 @pytest.fixture(scope="session")
 def mini_cati(small_corpus, mini_config):
-    """A quickly trained CATI over the small corpus (≈20 s once)."""
+    """A quickly trained CATI over the small corpus (≈2 s once)."""
     return Cati(mini_config).train(small_corpus.train)
 
 

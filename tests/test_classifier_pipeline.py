@@ -5,8 +5,12 @@ session-scoped mini-trained CATI).
 import numpy as np
 import pytest
 
-from repro.core.types import ALL_TYPES, STAGE_SPECS, Stage, TypeName, stage_label
+from repro.core.config import CatiConfig
 from repro.core.pipeline import Cati
+from repro.core.types import ALL_TYPES, STAGE_SPECS, Stage, TypeName, stage_label
+from repro.embedding import word2vec
+from repro.embedding.word2vec import Word2VecConfig
+from repro.nn.layers import Conv1d
 
 
 class TestClassifier:
@@ -179,6 +183,48 @@ class TestPipeline:
 
         binary = GccCompiler().compile_fresh(seed=556, name="t2", opt_level=0)
         assert mini_cati.infer_binary(strip(binary), []) == []
+
+
+class TestTrainingKernels:
+    def test_reference_kernels_train_identical_weights(self, small_corpus, monkeypatch):
+        """Training on the BLAS weight-gradient GEMM and the flat scatter
+        gives the same weights, bit for bit, as on the kernels they
+        replaced: Conv1d's ``einsum`` and Word2Vec's 2-D ``np.add.at``."""
+        config = CatiConfig(
+            epochs=1, fc_width=32,
+            word2vec=Word2VecConfig(dim=32, window=5, epochs=1, subsample_pairs=0.4))
+        dataset = small_corpus.train.subsample(600, seed=0)
+        fast = Cati(config).train(dataset)
+
+        gemm_backward = Conv1d.backward
+        reference_calls = []
+
+        def einsum_backward(self, grad):
+            d_x = gemm_backward(self, grad)
+            _x_shape, cols = self._cache
+            self.d_weight[...] = np.einsum("blk,blo->ko", cols, grad)
+            reference_calls.append("conv")
+            return d_x
+
+        def add_at_2d(table, rows, values):
+            np.add.at(table, rows, values)
+            reference_calls.append("scatter")
+
+        monkeypatch.setattr(Conv1d, "backward", einsum_backward)
+        monkeypatch.setattr(word2vec, "scatter_add_rows", add_at_2d)
+        reference = Cati(config).train(dataset)
+        assert {"conv", "scatter"} <= set(reference_calls)
+
+        for key in ("vectors", "context_vectors"):
+            got, want = fast.embedding.get_state()[key], reference.embedding.get_state()[key]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+        fast_state, reference_state = fast.classifier.get_state(), reference.classifier.get_state()
+        assert fast_state.keys() == reference_state.keys() == {s.value for s in STAGE_SPECS}
+        for stage, arrays in reference_state.items():
+            assert fast_state[stage].keys() == arrays.keys()
+            for name, want in arrays.items():
+                got = fast_state[stage][name]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (stage, name)
 
 
 class TestConfig:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.embedding.encoder import VucEncoder
 from repro.embedding.vocab import UNK, Vocab
-from repro.embedding.word2vec import Word2Vec, Word2VecConfig
+from repro.embedding.word2vec import Word2Vec, Word2VecConfig, scatter_add_rows
 
 
 class TestVocab:
@@ -97,6 +97,29 @@ class TestWord2Vec:
         a = Word2Vec(vocab, config).train(seqs)
         b = Word2Vec(vocab, config).train(seqs)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+class TestScatterAddRows:
+    def test_matches_2d_add_at_bitwise(self):
+        """Duplicate rows accumulate in the same order as the 2-D
+        ``np.add.at`` reference, so float32 sums match bit for bit."""
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(50, 32)).astype(np.float32)
+        rows = rng.integers(0, 10, size=400)  # ~40 updates per touched row
+        values = rng.normal(size=(400, 32)).astype(np.float32)
+        reference = table.copy()
+        np.add.at(reference, rows, values)
+        scatter_add_rows(table, rows, values)
+        assert table.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_non_contiguous_table_raises(self, layout):
+        """Reshaping such a table copies it, which would drop the update."""
+        table = np.zeros((8, 6), dtype=np.float32)
+        table = table[:, ::2] if layout == "strided" else np.asfortranarray(table)
+        values = np.ones((2, table.shape[1]), dtype=np.float32)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add_rows(table, np.array([0, 1]), values)
 
 
 class TestEncoder:

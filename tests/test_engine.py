@@ -120,8 +120,15 @@ class TestLeafProbaEquivalence:
         assert len(engine._cache) == 0
 
     def test_empty_input(self, mini_cati):
+        empty_ids = mini_cati.encoder.encode_ids([], length=mini_cati.config.vuc_length)
+        fast = mini_cati.engine.leaf_proba_ids(empty_ids)
+        assert fast.shape == (0, 19)
         assert mini_cati.engine.leaf_proba([]).shape == (0, 19)
         assert mini_cati.engine.predict_variables([], []) == []
+        # The naive reference agrees on the empty batch too.
+        naive = mini_cati.predict_vuc_proba([])
+        assert naive.shape == fast.shape and np.array_equal(naive, fast)
+        assert mini_cati.predict_variables([], []) == []
 
     def test_cache_hits_across_calls(self, mini_cati, test_windows):
         engine = fresh_engine(mini_cati)

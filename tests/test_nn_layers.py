@@ -93,6 +93,26 @@ class TestConv1d:
         x = np.random.default_rng(3).normal(size=(1, 9, 2))
         _check_input_grad(Conv1d(2, 3, kernel_size=5), x)
 
+    @pytest.mark.parametrize("in_channels, out_channels, length", [
+        (96, 32, 21),   # conv1: cols [64, 21, 288]
+        (32, 64, 10),   # conv2: cols [64, 10, 96]
+    ])
+    def test_weight_gradient_matches_einsum(self, in_channels, out_channels, length):
+        """The weight-gradient GEMM against the einsum it replaced, on the
+        shapes and dtypes training passes: float32 activations, float64
+        upstream gradient (MaxPool1d.backward promotes it)."""
+        rng = np.random.default_rng(11)
+        layer = Conv1d(in_channels, out_channels, kernel_size=3, rng=rng)
+        layer.d_weight = np.zeros(layer.weight.shape)  # float64: keep the product unrounded
+        layer.forward(rng.normal(size=(64, length, in_channels)).astype(np.float32))
+        grad = rng.normal(size=(64, length, out_channels))
+        layer.backward(grad)
+        _x_shape, cols = layer._cache
+        assert cols.shape == (64, length, 3 * in_channels) and cols.dtype == np.float32
+        reference = np.einsum("blk,blo->ko", cols, grad)
+        # Both sum 64 * length float64 products per entry, in different orders.
+        assert np.abs(layer.d_weight - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_identity_kernel(self):
         """A kernel that only picks the center column reproduces a linear map."""
         layer = Conv1d(2, 2, kernel_size=3)

@@ -87,6 +87,7 @@ class TestCatiCnn:
         model = build_cati_cnn(21, 96, 5, fc_width=64)
         probs = model.predict_proba(np.zeros((3, 21, 96), dtype=np.float32))
         assert probs.shape == (3, 5)
+        assert model.predict_proba(np.zeros((0, 21, 96), dtype=np.float32)).shape == (0, 5)
 
     def test_learns_positional_signal(self):
         """The CNN must pick up a signal at the central (target) position."""
