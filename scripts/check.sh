@@ -3,8 +3,9 @@
 #
 # Usage: scripts/check.sh [--faults | --docs | --serve | --smoke | --batch | --structs | --repl] [extra pytest args...]
 #
-#   --faults   run the fault-injection suite (tests/test_fault_tolerance.py)
-#              instead of the full tier-1 suite.
+#   --faults   run the fault-injection suite (tests/test_fault_tolerance.py:
+#              tool timeouts, corrupt ELF, truncated DWARF, undecodable
+#              functions) instead of the full tier-1 suite.
 #   --docs     run the docs-drift gate only (scripts/check_docs.py):
 #              EXPERIMENTS.md matches its generator section-for-section,
 #              every public CatiConfig field is documented in
@@ -20,8 +21,7 @@
 #              (--workers 2).
 #   --smoke    run the engine speed bench's correctness gates only
 #              (benchmarks/bench_speed.py --smoke): train a mini model,
-#              assert engine/naive equivalence, the previous-generation
-#              reproduction, the int8 drift bound and the dedup-cache
+#              assert engine/naive equivalence and the dedup-cache
 #              invariants.  No wall-clock assertions.
 #   --batch    run the batch-job smoke only (scripts/smoke_batch.py):
 #              tiny corpus -> run -> SIGKILL mid-job -> resume ->

@@ -8,7 +8,8 @@ Checks:
    heading in the committed EXPERIMENTS.md — catches a stale file after
    an experiment is added, renamed or removed.
 2. Every public field of ``CatiConfig`` is named in
-   docs/OPERATIONS.md — catches an undocumented knob.
+   docs/OPERATIONS.md — catches an undocumented knob — and so is every
+   name in ``config.RETIRED_FIELDS``, under "Retired config fields".
 3. docs/DEPLOYMENT.md exists, covers the serving knobs
    (``serve_workers`` and friends) and is cross-linked from README.md,
    docs/OPERATIONS.md and docs/ARCHITECTURE.md — catches the deployment
@@ -74,7 +75,7 @@ def check_experiments_md(problems: list[str]) -> None:
 
 def check_operations_md(problems: list[str]) -> None:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.core.config import CatiConfig
+    from repro.core.config import RETIRED_FIELDS, CatiConfig
 
     path = REPO_ROOT / "docs" / "OPERATIONS.md"
     if not path.exists():
@@ -84,6 +85,10 @@ def check_operations_md(problems: list[str]) -> None:
     for field in dataclasses.fields(CatiConfig):
         if f"`{field.name}`" not in text:
             problems.append(f"docs/OPERATIONS.md does not document CatiConfig.{field.name}")
+    retired = text.split("### Retired config fields", 1)[1:]
+    for name in RETIRED_FIELDS:
+        if not retired or f"`{name}`" not in retired[0]:
+            problems.append(f"docs/OPERATIONS.md 'Retired config fields' does not name {name}")
 
 
 DEPLOYMENT_KNOBS = ("serve_workers", "serve_max_batch", "serve_max_delay_ms")

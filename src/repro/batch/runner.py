@@ -2,9 +2,9 @@
 
 :func:`run_job` compiles a :class:`~repro.batch.spec.JobSpec` into
 binary-level shards on the :class:`~repro.batch.job.BatchJobStore`
-queue and drives them through the existing
-:meth:`~repro.core.engine.InferenceEngine.infer_binary_many` path,
-committing one atomic checkpoint per shard.  :func:`resume_job` replays
+queue and drives each shard's binaries, one at a time, through
+:meth:`~repro.core.engine.InferenceEngine.infer_binary`, committing one
+atomic checkpoint per shard.  :func:`resume_job` replays
 a job directory after *any* interruption — SIGKILL, OOM, power cut —
 recomputing only shards without a valid committed checkpoint, so the
 final merged result is bit-identical to an uninterrupted run (asserted
@@ -176,69 +176,49 @@ def _check_drift(body: dict, model_dir: str, *, force: bool,
 # -- shard execution ---------------------------------------------------------------
 
 
-def _serialize_predictions(results) -> list[list[dict]]:
-    out = []
-    for result in results:
-        out.append([
-            {"variable_id": p.variable_id, "predicted": str(p.predicted),
-             "n_vucs": p.n_vucs, "scores": [float(s) for s in p.scores]}
-            for p in result
-        ])
-    return out
+def _serialize_predictions(result) -> list[dict]:
+    return [
+        {"variable_id": p.variable_id, "predicted": str(p.predicted),
+         "n_vucs": p.n_vucs, "scores": [float(s) for s in p.scores]}
+        for p in result
+    ]
 
 
-def _serialize_layouts(results) -> list[list[dict] | None]:
-    """Per-result layout blocks (None = posterior stage did not run)."""
+def _serialize_layouts(result) -> list[dict] | None:
+    """One result's layout block (None = posterior stage did not run)."""
     from repro.serve.protocol import layout_to_dict
 
-    out: list[list[dict] | None] = []
-    for result in results:
-        layouts = getattr(result, "layouts", None)
-        out.append(None if layouts is None
-                   else [layout_to_dict(layout) for layout in layouts])
-    return out
+    if result.layouts is None:
+        return None
+    return [layout_to_dict(layout) for layout in result.layouts]
 
 
 def _run_shard(
     cati: Cati, shard: tuple[ManifestItem, ...], on_error: str,
     structs: bool = False,
 ) -> tuple[list[list[dict]], list[list[dict] | None], FailureReport]:
-    """Load + infer every item of one shard through the engine pool path."""
+    """Load + infer every item of one shard, in manifest order.
+
+    An item that fails to load yields no predictions and no layouts.
+    """
     report = FailureReport()
-    jobs = []
-    loaded: list[bool] = []
+    predictions: list[list[dict]] = []
+    layouts: list[list[dict] | None] = []
     for item in shard:
         try:
             stripped, extents = item.load()
         except Exception as exc:
             handle_failure(exc, on_error=on_error, failures=report,
                            stage="batch", binary=item.name)
-            loaded.append(False)
+            predictions.append([])
+            layouts.append(None)
             continue
-        jobs.append((stripped, extents))
-        loaded.append(True)
-    # The durable window cache lives in this process; worker forks would
-    # append to an inherited segment handle, so the pool is bypassed
-    # whenever a store is attached (serial still hits the cross-binary
-    # caches, which is where batch throughput comes from).
-    n_workers = 1 if cati.engine.window_store is not None else None
-    results = cati.engine.infer_binary_many(
-        jobs, n_workers=n_workers, on_error=on_error, failures=report,
-        structs=True if structs else None)
-    serialized = _serialize_predictions(results)
-    layouts = _serialize_layouts(results)
-    merged: list[list[dict]] = []
-    merged_layouts: list[list[dict] | None] = []
-    cursor = 0
-    for ok in loaded:
-        if ok:
-            merged.append(serialized[cursor])
-            merged_layouts.append(layouts[cursor])
-            cursor += 1
-        else:
-            merged.append([])
-            merged_layouts.append(None)
-    return merged, merged_layouts, report
+        result = cati.engine.infer_binary(
+            stripped, extents, on_error=on_error, failures=report,
+            structs=True if structs else None)
+        predictions.append(_serialize_predictions(result))
+        layouts.append(_serialize_layouts(result))
+    return predictions, layouts, report
 
 
 def _execute(store: BatchJobStore, body: dict, cati: Cati, *,

@@ -15,8 +15,7 @@ Commands:
 * ``experiment``  — run one paper experiment by name and print its table.
 * ``corpus-stats``— print Table I-style statistics for a corpus.
 * ``model``       — artifact tooling: ``inspect`` prints a bundle's
-                    manifest and verifies its checksums; ``migrate``
-                    upgrades a pre-bundle model directory.
+                    manifest and verifies its checksums.
 * ``batch``       — resumable corpus-scale analysis: ``run`` a job spec
                     to checkpointed shards, ``resume`` an interrupted
                     job, ``status`` a job directory (see
@@ -90,20 +89,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _config_for_model(model_dir: str, **overrides) -> "CatiConfig":
     """A config for loading ``model_dir`` with runtime knobs overridden.
 
-    For a bundle the manifest's config snapshot is authoritative for
-    the structural fields, so start from it and replace only the given
-    runtime knobs — a CLI built from defaults must load bundles trained
-    with any architecture. Legacy directories get plain defaults.
+    The manifest's config snapshot is authoritative for the structural
+    fields, so start from it and replace only the given runtime knobs —
+    a CLI built from defaults must load bundles trained with any
+    architecture.
     """
     import dataclasses
 
     from repro.core.artifacts import ModelBundle
-    from repro.core.config import CatiConfig
 
-    if ModelBundle.is_bundle(model_dir):
-        saved = ModelBundle.open(model_dir).saved_config()
-        return dataclasses.replace(saved, **overrides)
-    return CatiConfig(**overrides)
+    saved = ModelBundle.open(model_dir).saved_config()
+    return dataclasses.replace(saved, **overrides)
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
@@ -116,7 +112,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     _apply_metrics_flags(args)
     config = _config_for_model(args.model_dir,
-                               job_timeout=args.job_timeout,
                                tool_timeout=args.tool_timeout,
                                metrics_enabled=not args.no_metrics)
     cati = Cati.load(args.model_dir, config=config, warm_start=True)
@@ -383,22 +378,6 @@ def _cmd_model_inspect(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def _cmd_model_migrate(args: argparse.Namespace) -> int:
-    from repro.core.artifacts import ModelBundle
-    from repro.core.config import CatiConfig
-    from repro.core.errors import ArtifactError
-
-    config = CatiConfig(window=args.window)
-    try:
-        bundle = ModelBundle.migrate(args.model_dir, dest=args.dest, config=config)
-    except ArtifactError as error:
-        print(f"migration failed: {error}", file=sys.stderr)
-        return 2
-    print(f"migrated {args.model_dir} -> {bundle.directory}")
-    print(bundle.describe())
-    return 0
-
-
 def _print_batch_results(results: dict) -> None:
     shards = results["shards"]
     print(f"items: {results['items']}  predictions: {results['n_predictions']}  "
@@ -503,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--seed", type=int, default=1234)
     infer.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                        help="skip-and-record damaged functions instead of aborting")
-    infer.add_argument("--job-timeout", type=float, default=None,
-                       help="seconds per worker-pool job (default: wait)")
     infer.add_argument("--tool-timeout", type=float, default=60.0,
                        help="seconds per external tool invocation")
     infer.add_argument("--structs", action="store_true",
@@ -653,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--small", action="store_true")
     stats.set_defaults(func=_cmd_corpus_stats)
 
-    model = sub.add_parser("model", help="inspect or migrate saved model artifacts")
+    model = sub.add_parser("model", help="inspect saved model artifacts")
     model_sub = model.add_subparsers(dest="model_command", required=True)
 
     inspect = model_sub.add_parser(
@@ -662,16 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("--json", action="store_true",
                          help="emit the manifest + problems as JSON")
     inspect.set_defaults(func=_cmd_model_inspect)
-
-    migrate = model_sub.add_parser(
-        "migrate", help="upgrade a legacy word2vec.npz + stages/ directory to a bundle")
-    migrate.add_argument("model_dir")
-    migrate.add_argument("--dest", default=None,
-                         help="write the bundle here (default: upgrade in place)")
-    migrate.add_argument("--window", type=int, default=10,
-                         help="context window the legacy model was trained with "
-                              "(not recoverable from the arrays; default 10)")
-    migrate.set_defaults(func=_cmd_model_migrate)
     return parser
 
 

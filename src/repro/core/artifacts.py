@@ -35,13 +35,13 @@ Design contract:
   caller's.
 * **Lazy payloads** — :meth:`open` reads only the manifest; arrays load
   on demand in :meth:`load_embedding` / :meth:`load_classifier_state`.
-* **Legacy migration** — pre-bundle directories (bare ``word2vec.npz``
-  + ``stages/``, no manifest) are recognized by :meth:`is_legacy` and
-  upgraded by :meth:`migrate`, which infers the shape-determining
-  config fields from the stored arrays.
+* **Old manifests load** — config fields this code retired are dropped
+  by :meth:`CatiConfig.from_dict <repro.core.config.CatiConfig.from_dict>`
+  (see :data:`~repro.core.config.RETIRED_FIELDS`); any other unknown
+  field fails the load.  A directory without a manifest is not a model.
 
-The CLI front ends are ``python -m repro model inspect`` and
-``model migrate``; see docs/OPERATIONS.md §6.
+The CLI front end is ``python -m repro model inspect``; see
+docs/OPERATIONS.md §6.
 """
 
 from __future__ import annotations
@@ -130,14 +130,6 @@ class ModelBundle:
         """A manifest.json is present (validity is :meth:`open`'s job)."""
         return (Path(directory) / MANIFEST_NAME).is_file()
 
-    @classmethod
-    def is_legacy(cls, directory: str | Path) -> bool:
-        """Pre-bundle layout: payload files present but no manifest."""
-        directory = Path(directory)
-        return (not cls.is_bundle(directory)
-                and (directory / EMBEDDING_FILE).is_file()
-                and (directory / STAGES_DIR).is_dir())
-
     # -- opening / verification ---------------------------------------------------
 
     @classmethod
@@ -152,11 +144,8 @@ class ModelBundle:
         directory = Path(directory)
         path = directory / MANIFEST_NAME
         if not path.is_file():
-            hint = ("; legacy model directory — migrate with "
-                    "`python -m repro model migrate`"
-                    if cls.is_legacy(directory) else "")
             raise BundleSchemaError(
-                f"no {MANIFEST_NAME} in {directory}{hint}",
+                f"no {MANIFEST_NAME} in {directory}",
                 path=str(directory), stage="artifacts")
         try:
             manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -456,8 +445,8 @@ class ModelBundle:
              provenance: dict | None = None) -> "ModelBundle":
         """Write a complete bundle atomically (temp dir + rename swap).
 
-        Overwrites an existing bundle (or legacy directory) at
-        ``directory`` only once the replacement is fully on disk.
+        Overwrites an existing bundle at ``directory`` only once the
+        replacement is fully on disk.
         """
         directory = Path(directory)
         parent = directory.resolve().parent
@@ -519,88 +508,6 @@ class ModelBundle:
         persistence path uses.
         """
         fsutil.atomic_replace_dir(staging, directory)
-
-    # -- migration -----------------------------------------------------------------
-
-    @classmethod
-    def migrate(cls, source: str | Path, dest: str | Path | None = None,
-                config: CatiConfig | None = None) -> "ModelBundle":
-        """Upgrade a legacy ``word2vec.npz`` + ``stages/`` directory.
-
-        The shape-determining config fields are recovered from the
-        stored arrays themselves (``token_dim`` from the embedding,
-        ``conv_channels``/``fc_width`` from the Stage1 weights); the
-        window — which the arrays cannot disambiguate — comes from
-        ``config`` (default 10, the paper's value).  Loading the legacy
-        weights into the rebuilt architecture cross-validates every
-        shape before anything is written.  ``dest=None`` upgrades in
-        place.
-        """
-        from repro.core.classifier import MultiStageClassifier
-        from repro.embedding.word2vec import Word2Vec
-
-        source = Path(source)
-        if cls.is_bundle(source):
-            raise ArtifactError(
-                f"{source} is already a model bundle",
-                path=str(source), stage="artifacts")
-        if not cls.is_legacy(source):
-            raise ArtifactError(
-                f"{source} is not a legacy model directory "
-                f"(expected {EMBEDDING_FILE} and {STAGES_DIR}/)",
-                path=str(source), stage="artifacts")
-        try:
-            embedding = Word2Vec.load(str(source / EMBEDDING_FILE))
-        except Exception as error:
-            raise ArtifactError(
-                f"legacy embedding unreadable: {error}",
-                path=str(source), stage="artifacts") from error
-        inferred = cls._infer_legacy_config(source, embedding, config)
-        classifier = MultiStageClassifier(inferred)
-        try:
-            classifier.load(str(source / STAGES_DIR),
-                            input_length=inferred.vuc_length,
-                            input_channels=inferred.instruction_dim)
-        except Exception as error:
-            raise ArtifactError(
-                f"legacy stage models unreadable: {error}",
-                path=str(source), stage="artifacts") from error
-        provenance = {
-            "migrated_from": str(source),
-            "migrated_at": _utc_now(),
-            "note": "config partially inferred from legacy arrays",
-        }
-        return cls.save(dest if dest is not None else source,
-                        config=inferred, embedding=embedding,
-                        classifier=classifier, provenance=provenance)
-
-    @staticmethod
-    def _infer_legacy_config(source: Path, embedding: "Word2Vec",
-                             config: CatiConfig | None) -> CatiConfig:
-        """Best-effort config for a manifest-less directory.
-
-        Starts from ``config`` (or defaults) and overrides every field
-        the arrays pin down.  Legacy stage files store the flat
-        ``"<layer>.<param>"`` dicts of ``build_cati_cnn``: conv weights
-        are ``[3*C_in, C_out]`` and the first dense is
-        ``[pooled*conv2, fc_width]``.
-        """
-        base = (config.to_dict() if config is not None
-                else CatiConfig().to_dict())
-        base["token_dim"] = int(embedding.config.dim)
-        stage1 = source / STAGES_DIR / "Stage1.npz"
-        try:
-            with np.load(stage1) as data:
-                conv1_out = int(data["0.weight"].shape[1])
-                conv2_out = int(data["3.weight"].shape[1])
-                fc_width = int(data["7.weight"].shape[1])
-        except Exception as error:
-            raise ArtifactError(
-                f"cannot infer architecture from {stage1}: {error}",
-                path=str(source), stage="artifacts") from error
-        base["conv_channels"] = [conv1_out, conv2_out]
-        base["fc_width"] = fc_width
-        return CatiConfig.from_dict(base)
 
     # -- reporting -----------------------------------------------------------------
 

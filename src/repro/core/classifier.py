@@ -10,7 +10,6 @@ stage on the samples that truly belong to it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +177,7 @@ class MultiStageClassifier:
         """Per-stage weight dicts keyed by stage name (``"Stage1"``...).
 
         This is the classifier's contribution to a
-        :class:`repro.core.artifacts.ModelBundle`; ``save``/``load``
-        below remain as the legacy one-file-per-stage directory format.
+        :class:`repro.core.artifacts.ModelBundle`.
         """
         return {stage.value: stage_model.model.get_state()
                 for stage, stage_model in self.stages.items()}
@@ -212,16 +210,3 @@ class MultiStageClassifier:
                 raise ValueError(f"stage {stage.value}: {error}") from error
             fresh[stage] = StageModel(spec=spec, model=model)
         self.stages = fresh
-
-    def save(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
-        for stage, stage_model in self.stages.items():
-            stage_model.model.save(os.path.join(directory, f"{stage.value}.npz"))
-
-    def load(self, directory: str, input_length: int, input_channels: int) -> None:
-        states: dict[str, dict[str, np.ndarray]] = {}
-        for stage in STAGE_SPECS:
-            path = os.path.join(directory, f"{stage.value}.npz")
-            with np.load(path) as data:
-                states[stage.value] = dict(data)
-        self.load_state(states, input_length, input_channels)

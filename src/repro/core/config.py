@@ -8,9 +8,17 @@ Defaults follow the paper where it states values (window 10, token dim
 from __future__ import annotations
 
 import dataclasses
+import logging
 from dataclasses import dataclass, field
 
 from repro.embedding.word2vec import Word2VecConfig
+
+logger = logging.getLogger(__name__)
+
+#: Fields earlier versions wrote into ``manifest.json`` / ``job.json``
+#: that no longer exist.  :meth:`CatiConfig.from_dict` drops them (with
+#: one logged note) so artifacts written before their removal still load.
+RETIRED_FIELDS = ("n_workers", "job_timeout", "quantize_embeddings")
 
 
 @dataclass
@@ -30,12 +38,9 @@ class CatiConfig:
     min_token_count: int = 2
     seed: int = 0
     max_batch: int = 1024              # engine: windows per dense inference chunk
-    n_workers: int = 0                 # engine: processes for infer_binary_many (0/1 = serial)
     dedup_cache_size: int = 65536      # engine: cached leaf rows for repeated windows (0 = off)
-    quantize_embeddings: bool = False  # engine: int8 embedding gather (trades exactness for speed)
     tool_timeout: float = 60.0         # toolchain: seconds per external tool run
     tool_retries: int = 2              # toolchain: retries after a transient tool failure
-    job_timeout: float | None = None   # engine: seconds per infer_binary_many job (None = wait)
     metrics_enabled: bool = True       # observability: record pipeline metrics/spans
     metrics_vote_detail: bool = True   # observability: per-leaf-type vote-margin histograms
     serve_max_batch: int = 4096        # serve: max VUC windows coalesced per engine call
@@ -58,16 +63,12 @@ class CatiConfig:
             raise ValueError("confidence threshold must be in (0, 1]")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be >= 0")
         if self.dedup_cache_size < 0:
             raise ValueError("dedup_cache_size must be >= 0")
         if self.tool_timeout <= 0:
             raise ValueError("tool_timeout must be > 0")
         if self.tool_retries < 0:
             raise ValueError("tool_retries must be >= 0")
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise ValueError("job_timeout must be > 0 (or None to wait forever)")
         if self.serve_max_batch < 1:
             raise ValueError("serve_max_batch must be >= 1")
         if self.serve_max_delay_ms < 0:
@@ -99,9 +100,16 @@ class CatiConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown fields raise ``ValueError`` — a manifest written by a
-        newer code version must not be silently half-applied.
+        newer code version must not be silently half-applied.  The one
+        exception is :data:`RETIRED_FIELDS`, which are dropped with a
+        logged note.
         """
         data = dict(data)
+        retired = [name for name in RETIRED_FIELDS if name in data]
+        if retired:
+            for name in retired:
+                del data[name]
+            logger.info("ignoring retired CatiConfig fields: %s", ", ".join(retired))
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -28,11 +28,6 @@ numbers.  The engine exploits that redundancy at every level:
   and reused across ``_stage_probs_chunk`` calls), with
   ``np.matmul(..., out=)`` / ``np.take(..., out=)`` / in-place
   activations eliminating per-call allocation churn;
-* **opt-in int8 embeddings** — ``CatiConfig.quantize_embeddings``
-  swaps the float32 embedding gather for an int8 table with per-row
-  scales (4x less memory traffic, dequantized per unique instruction);
-  this trades ≤1e-6 equivalence for a measured, bounded accuracy delta
-  (reported by ``benchmarks/bench_speed.py``);
 * **chunking** — dense passes proceed in ``CatiConfig.max_batch`` window
   chunks so arbitrarily large corpora run in bounded memory;
 * **occlusion at the id level** — all L+1 occluded variants of a window
@@ -48,9 +43,9 @@ model.  Equivalence of every fast path with the naive one is enforced by
 
 Contract: the engine is a pure accelerator — for any trained model it
 returns bitwise-deterministic results that agree with the naive
-reference to ≤1e-6, never mutates the model, degrades per function /
-per job under ``on_error="skip"`` (everything dropped is enumerated in
-the result's :attr:`InferenceResult.failures`), and reports what it did
+reference to ≤1e-6, never mutates the model, degrades per function
+under ``on_error="skip"`` (everything dropped is enumerated in the
+result's :attr:`InferenceResult.failures`), and reports what it did
 into the global metrics registry when ``CatiConfig.metrics_enabled``:
 ``engine.windows`` / ``engine.unique_windows`` / ``engine.cache_hits`` /
 ``engine.cache_misses`` counters (plus ``engine.store_hits`` when a
@@ -58,17 +53,14 @@ durable window store is attached — see :meth:`InferenceEngine.attach_window_st
 ``engine.batch_size`` and
 ``engine.chunk_seconds`` histograms (the latter gives per-chunk p50/p99
 latency), per-stage cascade spans (``cascade.embed`` /
-``cascade.conv1`` / ``cascade.conv2`` / ``cascade.heads``),
-per-phase spans under ``infer_binary``
-(extract → encode → classify → vote), and worker-pool accounting
-(``engine.pool.*``).  A cumulative metrics snapshot rides along on
+``cascade.conv1`` / ``cascade.conv2`` / ``cascade.heads``) and
+per-phase spans under ``infer_binary`` (extract → encode → classify →
+vote).  A cumulative metrics snapshot rides along on
 :attr:`InferenceResult.metrics`.  See ``docs/OPERATIONS.md``.
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
 import threading
 import time
 from collections import OrderedDict
@@ -82,16 +74,10 @@ from repro.codegen.binary import Binary
 from repro.core import observability
 from repro.core.classifier import MultiStageClassifier, compose_leaves
 from repro.core.config import CatiConfig
-from repro.core.errors import (
-    FailureReport,
-    InferenceError,
-    check_on_error,
-    handle_failure,
-)
+from repro.core.errors import FailureReport, check_on_error, handle_failure
 from repro.core.observability import SIZE_BUCKETS, TIME_BUCKETS
 from repro.core.types import ALL_TYPES, Stage
 from repro.embedding.encoder import VucEncoder
-from repro.nn.layers import quantize_rows_int8
 from repro.nn.losses import softmax
 from repro.nn.model import layer_kind
 from repro.vuc.dataflow import VariableExtent
@@ -125,9 +111,6 @@ class BatchedOcclusion:
     base_confidences: np.ndarray   # [N]
 
 
-logger = logging.getLogger(__name__)
-
-
 class InferenceResult(list):
     """Predictions for one binary plus the run's failure report.
 
@@ -151,18 +134,6 @@ class InferenceResult(list):
         #: no recoverable objects.
         self.layouts = layouts
 
-    def __reduce__(self):
-        # __slots__ on a list subclass needs explicit pickling support
-        # (results cross the worker-pool boundary).
-        return (_rebuild_result, (list(self), self.failures, self.metrics,
-                                  self.layouts))
-
-
-def _rebuild_result(predictions: list, failures: FailureReport,
-                    metrics: dict | None = None,
-                    layouts: list | None = None) -> "InferenceResult":
-    return InferenceResult(predictions, failures, metrics, layouts)
-
 
 # -- compiled stage programs ----------------------------------------------------
 
@@ -174,7 +145,6 @@ _CANONICAL_KINDS = (
 )
 _CONV2_INDEX = 3
 _DENSE1_INDEX = 7
-_DENSE2_INDEX = 10
 
 
 def _compile_ops(model) -> list[tuple] | None:
@@ -275,20 +245,6 @@ def _neighbor_rows(positions: np.ndarray) -> np.ndarray:
     return np.stack([padded[:, :-2], padded[:, 1:-1], padded[:, 2:]], axis=2)
 
 
-def _gather_contexts(table: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-    """Assemble [U, K*D] conv inputs from a [R, D] row table; -1 → zeros.
-
-    The table is padded with one zero row so the whole gather is a single
-    fancy index (position -1 redirects to the pad row) instead of a
-    zero-fill plus per-kernel-tap masked writes.
-    """
-    count, kernel = contexts.shape
-    dim = table.shape[1]
-    padded = np.concatenate([table, np.zeros((1, dim), dtype=table.dtype)])
-    safe = np.where(contexts < 0, len(table), contexts)
-    return padded[safe.ravel()].reshape(count, kernel * dim)
-
-
 # -- arena + compiled cascade kernels --------------------------------------------
 
 
@@ -369,9 +325,6 @@ class InferenceEngine:
         self.encoder = encoder
         self.config = config
         self.stats = EngineStats()
-        #: Why the last infer_binary_many call ran serially although
-        #: parallelism was requested (None = it did not fall back).
-        self.last_parallel_fallback: str | None = None
         # The leaf-row cache is shared across threads when the engine
         # sits behind repro.serve: handler threads and the batching
         # scheduler may race clear_cache/refresh against lookups, so
@@ -387,9 +340,6 @@ class InferenceEngine:
         self._ops: list[list[tuple] | None] | None = None
         self._cascade = False
         self._kernels: _CascadeKernels | None = None
-        #: int8 embedding table + per-row scales when
-        #: ``config.quantize_embeddings`` (None = exact float32 path).
-        self._q_table: tuple[np.ndarray, np.ndarray] | None = None
         # Scratch arenas are thread-local: serve handler threads may run
         # chunks concurrently and must not share buffers.
         self._arena_store = threading.local()
@@ -416,8 +366,6 @@ class InferenceEngine:
             raise RuntimeError("classifier has no trained stages")
         self._ops = [_compile_ops(self.classifier.stages[stage].model)
                      for stage in self._stage_order]
-        if self.config.quantize_embeddings:
-            self._q_table = quantize_rows_int8(self.encoder.embedding.vectors)
         self._cascade = self._cascade_applicable()
         if self._cascade:
             self._kernels = self._compile_cascade_kernels()
@@ -470,7 +418,6 @@ class InferenceEngine:
         """Drop compiled kernels and cached rows (call after retraining)."""
         self._ops = None
         self._kernels = None
-        self._q_table = None
         self._cascade = False
         self._arena_store = threading.local()
         self.window_store = None
@@ -620,20 +567,9 @@ class InferenceEngine:
                 for stage, out in zip(self._stage_order, logits)}
 
     def _embed_rows(self, instr_u: np.ndarray) -> np.ndarray:
-        """[U, 3] id-triples → [U, instruction_dim] float32 embeddings.
-
-        Honors the opt-in int8 table: the gather moves int8 rows (4x
-        less traffic than float32) and dequantizes with the per-row
-        scales afterwards.
-        """
-        flat = instr_u.reshape(-1)
-        if self._q_table is not None:
-            values, scales = self._q_table
-            vectors = values[flat].astype(np.float32)
-            vectors *= scales[flat][:, None]
-        else:
-            vectors = self.encoder.embedding.vectors[flat].astype(
-                np.float32, copy=False)
+        """[U, 3] id-triples → [U, instruction_dim] float32 embeddings."""
+        vectors = self.encoder.embedding.vectors[instr_u.reshape(-1)].astype(
+            np.float32, copy=False)
         return vectors.reshape(len(instr_u), -1)
 
     def _embed_ids(self, ids: np.ndarray) -> np.ndarray:
@@ -670,8 +606,8 @@ class InferenceEngine:
 
         with self._span("cascade.embed"):
             # Level 0: unique instructions → their embeddings, computed
-            # once (through the opt-in int8 table when configured), into
-            # a zero-padded arena row table for the conv1 gather.
+            # once, into a zero-padded arena row table for the conv1
+            # gather.
             instr_u, pos = _unique_rows(ids.reshape(batch * length, 3))
             pos = pos.reshape(batch, length)
             dim = self.encoder.instruction_dim
@@ -846,116 +782,6 @@ class InferenceEngine:
         return InferenceResult(predictions, failures=report, metrics=metrics,
                                layouts=layouts)
 
-    def infer_binary_many(
-        self,
-        jobs: Sequence[tuple[Binary, list[list[VariableExtent]]]],
-        n_workers: int | None = None,
-        on_error: str = "raise",
-        job_timeout: float | None = None,
-        failures: FailureReport | None = None,
-        structs: bool | None = None,
-    ) -> list[InferenceResult]:
-        """Infer many binaries, optionally sharded across worker processes.
-
-        Workers are forked, so the trained model is shared copy-on-write
-        rather than re-pickled per task; results keep job order.  Falls
-        back to the serial path (which still benefits from the cross-
-        binary window cache) when forking is unavailable — the fallback
-        is logged and exposed as :attr:`last_parallel_fallback`.
-
-        Fault isolation: every job is bounded by ``job_timeout`` seconds
-        (default :attr:`CatiConfig.job_timeout`; ``None`` waits forever).
-        A job whose worker crashes, hangs past the timeout, or raises is
-        automatically retried once *in-process*; only the retry's outcome
-        is then subject to the ``on_error`` policy, so a transient worker
-        death still yields complete results.  With ``on_error="skip"``
-        the pool-level incident is recorded into ``failures`` / the
-        job's result report and the remaining jobs keep their results.
-        """
-        check_on_error(on_error)
-        jobs = list(jobs)
-        workers = self.config.n_workers if n_workers is None else n_workers
-        timeout = self.config.job_timeout if job_timeout is None else job_timeout
-        self.last_parallel_fallback = None
-        registry = observability.get_registry()
-        record = self._metrics_on()
-        if record:
-            registry.inc("engine.pool.jobs", len(jobs))
-        if workers <= 1 or len(jobs) <= 1:
-            return self._infer_many_serial(jobs, on_error, failures, structs)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as exc:
-            self.last_parallel_fallback = f"fork unavailable: {exc}"
-            if record:
-                registry.inc("engine.pool.fallbacks")
-            logger.warning(
-                "infer_binary_many: fork start method unavailable (%s); "
-                "falling back to serial inference for %d job(s)", exc, len(jobs))
-            return self._infer_many_serial(jobs, on_error, failures, structs)
-        if record:
-            registry.set_gauge("engine.pool.workers", min(workers, len(jobs)))
-        global _POOL_STATE
-        _POOL_STATE = (self, jobs, on_error, structs)
-        results: list[InferenceResult | None] = [None] * len(jobs)
-        needs_retry: list[tuple[int, Exception]] = []
-        pool = context.Pool(processes=min(workers, len(jobs)))
-        try:
-            handles = [pool.apply_async(_infer_pool_job, (index,))
-                       for index in range(len(jobs))]
-            for index, handle in enumerate(handles):
-                try:
-                    results[index] = handle.get(timeout)
-                except multiprocessing.TimeoutError:
-                    if record:
-                        registry.inc("engine.pool.timeouts")
-                    needs_retry.append((index, InferenceError(
-                        f"worker did not return within {timeout}s "
-                        f"(crashed or hung)",
-                        binary=jobs[index][0].name, stage="pool")))
-                except Exception as exc:
-                    needs_retry.append((index, exc))
-        finally:
-            # terminate (not close): a hung or crashed worker must not
-            # keep the join waiting; completed results are already in.
-            pool.terminate()
-            pool.join()
-            _POOL_STATE = None
-        if record and needs_retry:
-            registry.inc("engine.pool.retries", len(needs_retry))
-        for index, exc in needs_retry:
-            stripped, extents = jobs[index]
-            logger.warning(
-                "infer_binary_many: job %d (%s) failed in the pool (%s); "
-                "retrying in-process", index, stripped.name, exc)
-            report = FailureReport()
-            report.record(exc, stage="pool", binary=stripped.name)
-            try:
-                retried = self.infer_binary(stripped, extents,
-                                            on_error=on_error, failures=report,
-                                            structs=structs)
-            except Exception as retry_exc:
-                handle_failure(retry_exc, on_error=on_error, failures=report,
-                               stage="pool", binary=stripped.name)
-                retried = InferenceResult([])
-            retried.failures = report
-            results[index] = retried
-        out = [result if result is not None else InferenceResult([])
-               for result in results]
-        if failures is not None:
-            failures.extend(FailureReport.merge(result.failures for result in out))
-        return out
-
-    def _infer_many_serial(self, jobs, on_error: str,
-                           failures: FailureReport | None,
-                           structs: bool | None = None) -> list[InferenceResult]:
-        out = [self.infer_binary(stripped, extents, on_error=on_error,
-                                 structs=structs)
-               for stripped, extents in jobs]
-        if failures is not None:
-            failures.extend(FailureReport.merge(result.failures for result in out))
-        return out
-
     # -- occlusion -----------------------------------------------------------------
 
     def occlusion_epsilons_many(self, windows: Sequence[Sequence[Tokens]]) -> BatchedOcclusion:
@@ -996,15 +822,3 @@ class InferenceEngine:
                 base_conf[start:start + g] = conf
         return BatchedOcclusion(epsilons, predicted, base_conf)
 
-
-#: (engine, jobs, on_error, structs) shared with forked pool workers; see
-#: infer_binary_many.
-_POOL_STATE: tuple[InferenceEngine, list, str, bool | None] | None = None
-
-
-def _infer_pool_job(index: int) -> InferenceResult:
-    assert _POOL_STATE is not None
-    engine, jobs, on_error, structs = _POOL_STATE
-    stripped, extents = jobs[index]
-    return engine.infer_binary(stripped, extents, on_error=on_error,
-                               structs=structs)

@@ -14,7 +14,7 @@ Everything the pipeline can throw at a caller derives from
     ├── DwarfError       malformed or truncated debug information
     │   └── repro.dwarf.native.NativeDwarfError
     │   └── repro.dwarf.decode.DwarfDecodeError
-    ├── InferenceError   extraction / voting / worker-pool failures
+    ├── InferenceError   extraction / voting failures
     ├── ArtifactError    model-bundle persistence failures
     │   ├── BundleSchemaError     missing/malformed manifest, unknown schema
     │   ├── BundleIntegrityError  checksum/shape mismatch, missing payload
@@ -72,7 +72,7 @@ class CatiError(Exception):
 
     Carries the failure site: which binary, which function, and which
     pipeline stage (``"toolchain"``, ``"elf"``, ``"decode"``,
-    ``"dwarf"``, ``"extract"``, ``"classify"``, ``"pool"``, ...).
+    ``"dwarf"``, ``"extract"``, ``"classify"``, ...).
     """
 
     def __init__(self, message: str, *, binary: str | None = None,
@@ -135,7 +135,7 @@ class DwarfError(CatiError, ValueError):
 
 
 class InferenceError(CatiError, ValueError):
-    """Extraction, voting, or worker-pool failure during inference."""
+    """Extraction or voting failure during inference."""
 
 
 class ArtifactError(CatiError):
@@ -387,21 +387,6 @@ class FailureReport:
 
     def extend(self, other: "FailureReport") -> None:
         self.records.extend(other.records)
-
-    @classmethod
-    def merge(cls, reports: "Iterable[FailureReport]") -> "FailureReport":
-        """One report aggregating many (multi-shard / multi-binary runs).
-
-        Record order follows the input order, so a merged report's
-        per-stage/per-kind counts and exemplars read exactly as if one
-        report had accumulated everything; ``None`` entries are ignored
-        for convenience at call sites that may hold absent reports.
-        """
-        merged = cls()
-        for report in reports:
-            if report is not None:
-                merged.records.extend(report.records)
-        return merged
 
     @classmethod
     def from_records(cls, records: "Iterable[dict]") -> "FailureReport":

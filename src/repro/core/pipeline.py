@@ -15,14 +15,12 @@ equivalence-tested against the reference to ≤1e-6.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.artifacts import ModelBundle, provenance_from_training
-from repro.core.errors import ArtifactError
 
 from repro.codegen.binary import Binary
 from repro.core.classifier import MultiStageClassifier
@@ -245,19 +243,17 @@ class Cati:
     @classmethod
     def load(cls, directory: str, config: CatiConfig | None = None,
              warm_start: bool = False, *, mmap: bool = False) -> "Cati":
-        """Load a saved model, restoring its saved config.
+        """Load a saved model bundle, restoring its saved config.
 
-        For a bundle directory the manifest's config snapshot is
-        authoritative: with ``config=None`` it is restored verbatim, and
-        an explicit ``config`` whose structural fields disagree raises
+        The manifest's config snapshot is authoritative: with
+        ``config=None`` it is restored verbatim, and an explicit
+        ``config`` whose structural fields disagree raises
         :class:`~repro.core.errors.ConfigMismatchError` naming each
         mismatched field (see
         :data:`repro.core.artifacts.STRUCTURAL_FIELDS`).  Every payload
-        is checksum-verified before its arrays are trusted.
-
-        Pre-bundle (legacy) directories — bare ``word2vec.npz`` +
-        ``stages/`` — still load, shaped by ``config`` exactly as
-        before; ``python -m repro model migrate`` upgrades them.
+        is checksum-verified before its arrays are trusted.  A directory
+        without a ``manifest.json`` raises
+        :class:`~repro.core.errors.BundleSchemaError`.
 
         ``warm_start=True`` additionally compiles the inference
         engine's float32 kernels now, so the first ``infer_binary``
@@ -266,40 +262,20 @@ class Cati:
         ``mmap=True`` loads bundle payloads through the shared ``.npy``
         mirror (:meth:`ModelBundle.load_shared`), keeping the embedding
         table a read-only memory map so N serving workers share one
-        physical copy.  Legacy directories have no manifest to key the
-        mirror and fall back to a regular load; check
-        :attr:`mmap_active` for what actually happened.
+        physical copy (:attr:`mmap_active` records it).
         """
-        mmap_active = False
-        if ModelBundle.is_bundle(directory):
-            bundle = ModelBundle.open(directory)
-            resolved = bundle.resolve_config(config)
-            cati = cls(resolved)
-            cati.embedding = bundle.load_embedding(mmap=mmap)
-            cati.encoder = VucEncoder(cati.embedding)
-            cati.classifier.load_state(
-                bundle.load_classifier_state(mmap=mmap),
-                input_length=resolved.vuc_length,
-                input_channels=resolved.instruction_dim,
-            )
-            cati.provenance = dict(bundle.manifest.get("provenance") or {})
-            mmap_active = mmap
-        elif ModelBundle.is_legacy(directory):
-            cati = cls(config)
-            cati.embedding = Word2Vec.load(os.path.join(directory, "word2vec.npz"))
-            cati.encoder = VucEncoder(cati.embedding)
-            cati.classifier.load(
-                os.path.join(directory, "stages"),
-                input_length=cati.config.vuc_length,
-                input_channels=cati.config.instruction_dim,
-            )
-            cati.provenance = {"legacy_dir": str(directory)}
-        else:
-            raise ArtifactError(
-                f"{directory} is neither a model bundle nor a legacy "
-                "model directory", path=str(directory), stage="artifacts")
-        cati._engine = None
-        cati.mmap_active = mmap_active
+        bundle = ModelBundle.open(directory)
+        resolved = bundle.resolve_config(config)
+        cati = cls(resolved)
+        cati.embedding = bundle.load_embedding(mmap=mmap)
+        cati.encoder = VucEncoder(cati.embedding)
+        cati.classifier.load_state(
+            bundle.load_classifier_state(mmap=mmap),
+            input_length=resolved.vuc_length,
+            input_channels=resolved.instruction_dim,
+        )
+        cati.provenance = dict(bundle.manifest.get("provenance") or {})
+        cati.mmap_active = mmap
         if warm_start:
             cati.engine.warm_start()
         return cati

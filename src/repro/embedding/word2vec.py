@@ -200,9 +200,7 @@ class Word2Vec:
     def get_state(self) -> dict[str, np.ndarray]:
         """Serializable array dict: vectors, vocab tokens/counts, dim.
 
-        Consumed by :class:`repro.core.artifacts.ModelBundle`; the
-        legacy ``save``/``load`` pair below writes the same dict to a
-        standalone ``.npz``.
+        Consumed by :class:`repro.core.artifacts.ModelBundle`.
         """
         tokens = list(self.vocab.token_to_id)
         return {
@@ -235,11 +233,3 @@ class Word2Vec:
         model.context_vectors = context_vectors
         model._trained = True
         return model
-
-    def save(self, path: str) -> None:
-        np.savez_compressed(path, **self.get_state())
-
-    @classmethod
-    def load(cls, path: str) -> "Word2Vec":
-        with np.load(path, allow_pickle=True) as data:
-            return cls.from_state(dict(data))

@@ -62,9 +62,8 @@ def _load_cached_model(cache_dir: Path, config: CatiConfig) -> Cati | None:
 
     The cache is trusted only when it is a :class:`ModelBundle` whose
     manifest parses (current schema) and whose checksums all hold —
-    corrupt, tampered, or stale-schema caches retrain exactly as a
-    missing cache does.  A pre-bundle (legacy) cache is loaded once and
-    upgraded to a bundle in place.
+    corrupt, tampered, stale-schema or manifest-less caches retrain
+    exactly as a missing cache does.
     """
     if ModelBundle.is_bundle(cache_dir):
         try:
@@ -74,14 +73,6 @@ def _load_cached_model(cache_dir: Path, config: CatiConfig) -> Cati | None:
         except Exception as error:  # corrupt/stale cache -> retrain
             print(f"[context] cached model failed verification ({error!r}); retraining")
             return None
-    if ModelBundle.is_legacy(cache_dir):
-        try:
-            cati = Cati.load(str(cache_dir), config)
-            cati.save(str(cache_dir))
-            print(f"[context] migrated legacy model cache {cache_dir} to a bundle")
-            return cati
-        except Exception as error:
-            print(f"[context] legacy cache unreadable ({error!r}); retraining")
     return None
 
 

@@ -160,24 +160,6 @@ class Dense(Layer):
         return [("weight", self.weight, self.d_weight), ("bias", self.bias, self.d_bias)]
 
 
-def quantize_rows_int8(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row symmetric int8 quantization: ``(values, scales)``.
-
-    ``values[i] = round(matrix[i] / scales[i])`` clipped to [-127, 127],
-    with ``scales[i] = max|matrix[i]| / 127``; an all-zero row keeps a
-    scale of 1 so dequantization (``values * scales[:, None]``) is
-    well-defined everywhere.  Used by the inference engine's opt-in
-    int8 embedding-table path (``CatiConfig.quantize_embeddings``): the
-    gather out of the embedding table is memory-bound, and int8 rows
-    move 4x fewer bytes than float32.
-    """
-    m = np.ascontiguousarray(matrix, dtype=np.float32)
-    scales = np.abs(m).max(axis=1) / np.float32(127.0)
-    scales = np.where(scales > 0, scales, np.float32(1.0)).astype(np.float32)
-    values = np.clip(np.rint(m / scales[:, None]), -127, 127).astype(np.int8)
-    return values, scales
-
-
 class Dropout(Layer):
     """Inverted dropout; identity at inference time."""
 

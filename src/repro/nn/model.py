@@ -130,13 +130,6 @@ class Sequential:
         for key, value, _grad in self.params():
             value[...] = state[key]
 
-    def save(self, path: str) -> None:
-        np.savez_compressed(path, **self.get_state())
-
-    def load(self, path: str) -> None:
-        with np.load(path) as data:
-            self.load_state(dict(data))
-
 
 #: Layer class → the op kind the inference engine compiles it to; a
 #: layer type missing here has no float32 mirror (the engine then falls

@@ -127,7 +127,15 @@ class Repl:
         elif args[0] == "path":
             if len(args) != 2:
                 raise ReplError("usage: open path FILE")
-            request = {"path": args[1]}
+            # The job file is read here, on the client: the server never
+            # opens a path a client names.
+            try:
+                with open(args[1], encoding="utf-8") as handle:
+                    request = json.load(handle)
+            except OSError as error:
+                raise ReplError(f"cannot read job file: {error}") from None
+            if not isinstance(request, dict):
+                raise ReplError(f"job file {args[1]} must hold a JSON object")
         else:
             raise ReplError(f"unknown open form {args[0]!r} (demo | path)")
         self.handle = self.client.open_session(request)

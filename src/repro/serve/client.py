@@ -164,20 +164,17 @@ class ServeClient:
 
     def session(self, *, binary: Binary | None = None,
                 extents: list[list[VariableExtent]] | None = None,
-                path: str | None = None, demo: dict | None = None,
-                **options) -> "SessionHandle":
+                demo: dict | None = None, **options) -> "SessionHandle":
         """Open an analysis session from whichever job form the caller has.
 
-        Exactly one of ``binary`` (+ ``extents``), ``path``, or ``demo``
-        must be given — the same whole-binary job forms ``/v1/infer``
-        accepts (pre-extracted windows cannot back a session).
+        Exactly one of ``binary`` (+ ``extents``) or ``demo`` must be
+        given — the same whole-binary job forms ``/v1/infer`` accepts
+        (pre-extracted windows cannot back a session).
         """
         request: dict = dict(options)
         if binary is not None:
             request["binary"] = protocol.binary_to_wire(binary)
             request["extents"] = protocol.extents_to_wire(extents or [])
-        if path is not None:
-            request["path"] = path
         if demo is not None:
             request["demo"] = demo
         return self.open_session(request)

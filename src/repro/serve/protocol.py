@@ -20,8 +20,6 @@ key:
   string list is an order of magnitude cheaper than a deeply nested
   JSON array, so this is what :class:`~repro.serve.client.ServeClient`
   sends on the hot path;
-* ``{"path": "/abs/job.json"}`` — a job file on the server's
-  filesystem containing one of the above;
 * ``{"demo": {"seed": N, "compiler": "gcc", "opt_level": 1}}`` — the
   server compiles, strips and types a seeded demo binary (smoke tests).
 
@@ -35,7 +33,7 @@ scores) and a machine-readable ``failures`` report.
 
 The interactive session endpoints (``/v1/session/open``,
 ``/v1/session/<id>/call``, ``/v1/session/<id>/close`` — see
-:mod:`repro.analysis`) share the binary/path/demo job forms for opens
+:mod:`repro.analysis`) share the binary/demo job forms for opens
 and speak the ``cati-tool-call/1`` envelope (:data:`TOOL_SCHEMA`,
 :func:`session_open_response`, :func:`tool_response`) for everything
 else.
@@ -72,7 +70,7 @@ if TYPE_CHECKING:
 RESPONSE_SCHEMA = "cati-infer-response/2"
 
 #: Job kinds an /v1/infer request may carry (exactly one).
-JOB_KINDS = ("binary", "windows", "windows_packed", "path", "demo")
+JOB_KINDS = ("binary", "windows", "windows_packed", "demo")
 
 #: Version tag stamped into every session-endpoint response
 #: (``/v1/session/open`` and ``/v1/session/<id>/call``); bump on any
@@ -83,7 +81,7 @@ TOOL_SCHEMA = "cati-tool-call/1"
 #: Job kinds a /v1/session/open request may carry — the ones that name
 #: a whole binary.  Pre-extracted window jobs have no listing to
 #: disassemble or annotate, so they cannot back a session.
-SESSION_JOB_KINDS = ("binary", "path", "demo")
+SESSION_JOB_KINDS = ("binary", "demo")
 
 
 # -- Binary <-> wire ------------------------------------------------------------

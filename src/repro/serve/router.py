@@ -70,7 +70,7 @@ from repro.core.errors import (
     check_on_error,
 )
 from repro.serve import protocol
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import MAX_BODY_BYTES, write_line
 from repro.serve.worker import WorkerHandle
 
 #: Seconds the router waits for one worker's answer to a forwarded
@@ -717,14 +717,14 @@ class RouterDaemon:
             self._watcher = threading.Thread(target=self._watch_loop,
                                              name="router-watch", daemon=True)
             self._watcher.start()
-        print(f"[router] model generation {self._generation} from "
-              f"{self._model_dir} across {len(self._slots)} workers "
-              f"(mmap={'on' if self._mmap else 'off'})", flush=True)
+        write_line(f"[router] model generation {self._generation} from "
+                   f"{self._model_dir} across {len(self._slots)} workers "
+                   f"(mmap={'on' if self._mmap else 'off'})")
         for slot in self._slots:
             handle = slot.handle
-            print(f"[router] worker {slot.index}: pid {handle.pid} "
-                  f"port {handle.port}", flush=True)
-        print(f"serving on http://{self.host}:{self.port}", flush=True)
+            write_line(f"[router] worker {slot.index}: pid {handle.pid} "
+                       f"port {handle.port}")
+        write_line(f"serving on http://{self.host}:{self.port}")
         try:
             self.httpd.serve_forever(poll_interval=0.1)
         finally:

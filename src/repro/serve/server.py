@@ -10,12 +10,12 @@ engine call.
 Endpoints:
 
 * ``POST /v1/infer``  — one job (``binary``/``windows``/
-  ``windows_packed``/``path``/``demo``, see
+  ``windows_packed``/``demo``, see
   :mod:`repro.serve.protocol`); 200 with the shared
   response schema, 400 on malformed requests, 503 + ``Retry-After`` on
   overload or drain, 504 past the deadline, 422 when the pipeline
   itself rejects the job under ``on_error="raise"``.
-* ``POST /v1/session/open`` — parse a binary/path/demo job once into a
+* ``POST /v1/session/open`` — parse a binary/demo job once into a
   stateful analysis session (:mod:`repro.analysis`); the response
   carries the session id, the extracted variable ids and the TTL.
 * ``POST /v1/session/<id>/call`` — one ``cati-tool-call/1`` tool
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -70,6 +71,18 @@ from repro.serve.scheduler import MicroBatchScheduler, encode_request_ids
 
 #: Request bodies past this size are refused with 413 before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+def write_line(line: str) -> None:
+    """Write one stdout line in a single ``write`` call, then flush.
+
+    A router and its workers share one stdout pipe, and ``print`` makes
+    two writes (text, then newline) when stdout is unbuffered, so lines
+    from two processes could interleave and a reader waiting for a line
+    that starts with ``serving on`` would never see one.
+    """
+    sys.stdout.write(line + "\n")
+    sys.stdout.flush()
 
 
 class _Server(ThreadingHTTPServer):
@@ -341,12 +354,6 @@ class ServeDaemon:
         for earlier batches is in flight.
         """
         kind = protocol.job_kind(request)
-        if kind == "path":
-            request = self._load_job_file(request["path"])
-            kind = protocol.job_kind(request)
-            if kind == "path":
-                raise RequestError("job files must not nest 'path' jobs",
-                                   stage="serve")
         if kind in ("windows", "windows_packed"):
             if kind == "windows":
                 windows = protocol.windows_from_wire(request["windows"])
@@ -395,12 +402,6 @@ class ServeDaemon:
         kinds are rejected up front.
         """
         kind = protocol.job_kind(request)
-        if kind == "path":
-            request = self._load_job_file(request["path"])
-            kind = protocol.job_kind(request)
-            if kind == "path":
-                raise RequestError("job files must not nest 'path' jobs",
-                                   stage="serve")
         if kind not in protocol.SESSION_JOB_KINDS:
             raise RequestError(
                 f"sessions need one of {protocol.SESSION_JOB_KINDS} "
@@ -415,22 +416,6 @@ class ServeDaemon:
                 on_error=on_error, failures=failures)
         self.sessions.put(session)
         return session
-
-    @staticmethod
-    def _load_job_file(path: object) -> dict:
-        job_path = Path(str(path))
-        try:
-            body = json.loads(job_path.read_text(encoding="utf-8"))
-        except OSError as error:
-            raise RequestError(f"cannot read job file {job_path}: {error}",
-                               stage="serve") from error
-        except ValueError as error:
-            raise RequestError(f"job file {job_path} is not valid JSON: "
-                               f"{error}", stage="serve") from error
-        if not isinstance(body, dict):
-            raise RequestError(f"job file {job_path} must hold a JSON object",
-                               stage="serve")
-        return body
 
     @staticmethod
     def _compile_demo(spec: object):
@@ -497,19 +482,19 @@ class ServeDaemon:
         self.scheduler.start()
         if self._watch:
             self.model_host.start_watching(self._watch_interval_s)
-        print(f"[{self.log_label}] model generation "
-              f"{self.model_host.generation} "
-              f"from {self.model_host.model_dir}", flush=True)
+        write_line(f"[{self.log_label}] model generation "
+                   f"{self.model_host.generation} "
+                   f"from {self.model_host.model_dir}")
         if self.log_label == "serve":
             # The bare banner is the operator/smoke contract for "this
             # is the port clients talk to" — only the front process may
             # print it.  Pre-fork workers (labelled "worker N") announce
             # their loopback port with the label instead; the router
             # prints the client-facing banner.
-            print(f"serving on http://{self.host}:{self.port}", flush=True)
+            write_line(f"serving on http://{self.host}:{self.port}")
         else:
-            print(f"[{self.log_label}] listening on "
-                  f"http://{self.host}:{self.port}", flush=True)
+            write_line(f"[{self.log_label}] listening on "
+                       f"http://{self.host}:{self.port}")
         try:
             self.httpd.serve_forever(poll_interval=0.1)
         finally:

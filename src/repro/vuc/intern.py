@@ -48,7 +48,7 @@ class InternedTokens(tuple):
 
     def __reduce__(self):
         # Re-intern on unpickle so ids stay per-process-consistent when
-        # windows cross the worker-pool or serve boundary.
+        # windows cross a process boundary.
         return (intern_tokens, (tuple(self),))
 
 

@@ -15,23 +15,14 @@ survive, without depending on luck or a real flaky machine:
   mid-CU truncation and a CU whose body references an unknown abbrev;
 * :class:`PoisonedListing` / :func:`poison_binary` — synthetic-corpus
   functions whose instruction stream raises a decode error the moment
-  anything touches it;
-* :func:`install_worker_fault` — makes the forked pool worker for
-  chosen job indices crash (``os._exit``) or hang mid-task.
-
-The wrappers installed into ``repro.core.engine`` are module-level
-functions (not closures) because the pool pickles tasks by qualified
-name; forked children inherit this module via ``sys.modules`` so the
-name resolves on both sides.
+  anything touches it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import struct
 import subprocess
-import time
 
 from repro.disasm.decoder import DecodeError as DisasmDecodeError
 
@@ -279,44 +270,3 @@ def poison_binary(stripped, fraction: float = 0.2):
         functions[index] = PoisonedListing(original.name, original.address)
     return dataclasses.replace(stripped, functions=functions), indices
 
-
-# -- worker-pool faults ----------------------------------------------------------
-
-#: Job indices whose *worker-side* execution dies / stalls (parent is safe).
-CRASH_INDICES: frozenset[int] = frozenset()
-HANG_INDICES: frozenset[int] = frozenset()
-_PARENT_PID: int | None = None
-_REAL_POOL_JOB = None
-
-
-def _faulty_pool_job(index: int):
-    """Pool-job wrapper that injects a crash or a hang in the child.
-
-    Module-level (not a closure) so the pool can pickle it by qualified
-    name; the parent-PID guard keeps an accidental in-process call from
-    killing the test runner.
-    """
-    if _PARENT_PID is not None and os.getpid() != _PARENT_PID:
-        if index in CRASH_INDICES:
-            os._exit(17)
-        if index in HANG_INDICES:
-            time.sleep(3600)
-    return _REAL_POOL_JOB(index)
-
-
-def install_worker_fault(monkeypatch, crash=(), hang=()) -> None:
-    """Make the forked worker for the given job indices crash or hang.
-
-    Installs :func:`_faulty_pool_job` over
-    ``repro.core.engine._infer_pool_job`` via ``monkeypatch`` (so the
-    real job function is restored when the test ends).
-    """
-    global _PARENT_PID, _REAL_POOL_JOB
-    from repro.core import engine as engine_mod
-
-    _PARENT_PID = os.getpid()
-    if engine_mod._infer_pool_job is not _faulty_pool_job:
-        _REAL_POOL_JOB = engine_mod._infer_pool_job
-    monkeypatch.setattr("tests.faultinject.CRASH_INDICES", frozenset(crash))
-    monkeypatch.setattr("tests.faultinject.HANG_INDICES", frozenset(hang))
-    monkeypatch.setattr(engine_mod, "_infer_pool_job", _faulty_pool_job)

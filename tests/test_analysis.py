@@ -17,6 +17,7 @@ pay for one module-scoped two-worker router.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
@@ -302,6 +303,31 @@ class TestSessionTools:
                 "variable_ids": ["a", "b", "c"],
             })
         assert excinfo.value.status == 400
+
+    def test_repl_open_path_matches_binary_open(self, daemon, target, tmp_path):
+        # `open path FILE` reads FILE on the client and sends its JSON as
+        # the open body, so the session equals a `binary` open of the job.
+        from repro.repl import Repl
+
+        _daemon, client = daemon
+        stripped, extents = target
+        job_file = tmp_path / "job.json"
+        job_file.write_text(json.dumps({
+            "binary": protocol.binary_to_wire(stripped),
+            "extents": protocol.extents_to_wire(extents)}))
+        via_path = Repl(client, out=lambda line: None)
+        via_path.run_command(f"open path {job_file}")
+        assert via_path._last_open == json.loads(job_file.read_text())
+        via_binary = Repl(client, out=lambda line: None)
+        via_binary.handle = client.session(binary=stripped, extents=extents)
+        typed = []
+        for repl in (via_path, via_binary):
+            lines: list[str] = []
+            repl.out = lines.append
+            repl.run_command("type %0")
+            repl.run_command("close")
+            typed.append(lines[:-1])
+        assert typed[0] and typed[0] == typed[1]
 
     def test_metrics_count_session_traffic(self, daemon, handle):
         _daemon, client = daemon

@@ -1,8 +1,9 @@
-"""ModelBundle persistence: round trips, integrity, migration, atomicity."""
+"""ModelBundle persistence: round trips, integrity, retired fields, atomicity."""
 
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from repro.core import artifacts
 from repro.core.artifacts import ModelBundle
-from repro.core.config import CatiConfig
+from repro.core.config import RETIRED_FIELDS, CatiConfig
 from repro.core.errors import (
     ArtifactError,
     BundleIntegrityError,
@@ -110,6 +111,43 @@ class TestManifest:
             CatiConfig.from_dict(data)
 
 
+def _inject_config(bundle_dir: Path, **fields) -> None:
+    """Add fields to a saved manifest's config, as an older writer would."""
+    path = bundle_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(fields)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+class TestRetiredFields:
+    """Manifests written before a CatiConfig field was retired still load."""
+
+    OLD_FIELDS = {"n_workers": 4, "job_timeout": 5.0,
+                  "quantize_embeddings": True}
+
+    def test_old_manifest_loads_unchanged(self, bundle_dir, test_windows,
+                                          caplog):
+        assert set(self.OLD_FIELDS) == set(RETIRED_FIELDS)
+        clean = Cati.load(str(bundle_dir))
+        key = ModelBundle.open(str(bundle_dir)).content_key()
+        _inject_config(bundle_dir, **self.OLD_FIELDS)
+        with caplog.at_level(logging.INFO, logger="repro.core.config"):
+            old = Cati.load(str(bundle_dir))
+        notes = [record.getMessage() for record in caplog.records
+                 if record.name == "repro.core.config"]
+        assert len(notes) == 1
+        assert all(name in notes[0] for name in RETIRED_FIELDS)
+        assert ModelBundle.open(str(bundle_dir)).content_key() == key
+        assert old.config.to_dict() == clean.config.to_dict()
+        assert np.array_equal(old.engine.leaf_proba(test_windows),
+                              clean.engine.leaf_proba(test_windows))
+
+    def test_other_unknown_field_still_fails(self, bundle_dir):
+        _inject_config(bundle_dir, n_workers=4, n_shards=2)
+        with pytest.raises(BundleSchemaError, match="n_shards"):
+            Cati.load(str(bundle_dir))
+
+
 class TestConfigConflict:
     def test_structural_mismatch_raises_naming_fields(self, bundle_dir):
         conflicting = CatiConfig(fc_width=128, window=7)
@@ -157,9 +195,13 @@ class TestIntegrity:
         with pytest.raises(BundleSchemaError):
             ModelBundle.open(str(tmp_path))
 
-    def test_not_a_model_directory(self, tmp_path):
-        with pytest.raises(ArtifactError, match="neither"):
+    def test_not_a_model_directory(self, bundle_dir, tmp_path):
+        with pytest.raises(BundleSchemaError, match="no manifest.json"):
             Cati.load(str(tmp_path / "nope"))
+        # Payload files without a manifest are not a model either.
+        (bundle_dir / "manifest.json").unlink()
+        with pytest.raises(BundleSchemaError, match="no manifest.json"):
+            Cati.load(str(bundle_dir))
 
 
 class TestAtomicity:
@@ -199,51 +241,6 @@ class TestAtomicity:
         assert np.abs(loaded.predict_vuc_proba(test_windows) - before).max() <= TOL
 
 
-class TestLegacyMigration:
-    @pytest.fixture()
-    def legacy_dir(self, bundle_dir):
-        # The legacy layout is exactly a bundle minus its manifest: bare
-        # word2vec.npz + stages/*.npz, as Cati.save wrote pre-refactor.
-        (bundle_dir / "manifest.json").unlink()
-        assert ModelBundle.is_legacy(bundle_dir)
-        return bundle_dir
-
-    def test_legacy_directory_still_loads(self, mini_cati, legacy_dir,
-                                          mini_config, test_windows):
-        loaded = Cati.load(str(legacy_dir), mini_config)
-        assert np.abs(
-            loaded.predict_vuc_proba(test_windows)
-            - mini_cati.predict_vuc_proba(test_windows)
-        ).max() <= TOL
-
-    def test_migrate_in_place(self, mini_cati, legacy_dir, test_windows):
-        bundle = ModelBundle.migrate(str(legacy_dir))
-        bundle.verify()
-        assert ModelBundle.is_bundle(legacy_dir)
-        config = bundle.saved_config()
-        assert config.fc_width == mini_cati.config.fc_width
-        assert config.token_dim == mini_cati.config.token_dim
-        assert config.conv_channels == mini_cati.config.conv_channels
-        assert bundle.manifest["provenance"]["migrated_from"] == str(legacy_dir)
-        loaded = Cati.load(str(legacy_dir))
-        assert np.abs(
-            loaded.predict_vuc_proba(test_windows)
-            - mini_cati.predict_vuc_proba(test_windows)
-        ).max() <= TOL
-
-    def test_migrate_to_dest(self, legacy_dir, tmp_path):
-        dest = tmp_path / "migrated"
-        ModelBundle.migrate(str(legacy_dir), dest=str(dest)).verify()
-        assert ModelBundle.is_bundle(dest)
-        assert ModelBundle.is_legacy(legacy_dir)  # source untouched
-
-    def test_migrate_refuses_bundle_and_garbage(self, bundle_dir, tmp_path):
-        with pytest.raises(ArtifactError, match="already"):
-            ModelBundle.migrate(str(bundle_dir))
-        with pytest.raises(ArtifactError, match="not a legacy"):
-            ModelBundle.migrate(str(tmp_path / "empty"))
-
-
 class TestExperimentCache:
     """get_context's cache acceptance goes through _load_cached_model."""
 
@@ -272,14 +269,11 @@ class TestExperimentCache:
 
         assert _load_cached_model(tmp_path / "absent", mini_config) is None
 
-    def test_legacy_cache_upgraded_in_place(self, bundle_dir, mini_config):
+    def test_cache_without_manifest_retrains(self, bundle_dir, mini_config):
         from repro.experiments.common import _load_cached_model
 
         (bundle_dir / "manifest.json").unlink()
-        cati = _load_cached_model(bundle_dir, mini_config)
-        assert cati is not None
-        assert ModelBundle.is_bundle(bundle_dir)
-        ModelBundle.open(str(bundle_dir)).verify()
+        assert _load_cached_model(bundle_dir, mini_config) is None
 
 
 class TestRequireTrained:
@@ -313,21 +307,14 @@ class TestCli:
         assert main(["model", "inspect", str(bundle_dir)]) == 1
         assert "integrity: FAILED" in capsys.readouterr().out
 
-    def test_inspect_legacy_fails_with_hint(self, bundle_dir, capsys):
+    def test_inspect_without_manifest_fails(self, bundle_dir, capsys):
         from repro.cli import main
 
         (bundle_dir / "manifest.json").unlink()
         assert main(["model", "inspect", str(bundle_dir)]) == 2
-        assert "migrate" in capsys.readouterr().err
-
-    def test_migrate_command(self, bundle_dir, tmp_path, capsys):
-        from repro.cli import main
-
-        (bundle_dir / "manifest.json").unlink()
-        dest = tmp_path / "migrated"
-        assert main(["model", "migrate", str(bundle_dir), "--dest", str(dest)]) == 0
-        assert "migrated" in capsys.readouterr().out
-        assert ModelBundle.is_bundle(dest)
+        err = capsys.readouterr().err
+        assert "no manifest.json" in err
+        assert "migrate" not in err
 
 
 class TestStateDicts:

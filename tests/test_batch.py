@@ -172,14 +172,6 @@ class TestRetryDelays:
 
 
 class TestFailureReportMerge:
-    def test_merge_concatenates_in_order(self):
-        first, second = FailureReport(), FailureReport()
-        first.record(ValueError("a"), stage="extract", binary="bin-a")
-        second.record(KeyError("b"), stage="classify", binary="bin-b")
-        merged = FailureReport.merge([first, None, second])
-        assert [r.binary for r in merged] == ["bin-a", "bin-b"]
-        assert merged.by_stage() == {"extract": 1, "classify": 1}
-
     def test_record_dict_round_trip(self):
         report = FailureReport()
         report.record(ValueError("boom"), stage="batch",
@@ -284,6 +276,22 @@ class TestJobLifecycle:
                                                       mini_bundle_dir):
         job_dir = tmp_path / "job"
         first = run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
+        again = resume_job(job_dir)
+        assert again["shards_run"] == 0
+        assert again["shards_reused"] == 2
+        assert again["predictions"] == first["predictions"]
+
+    def test_resume_with_retired_config_fields(self, tmp_path,
+                                               mini_bundle_dir):
+        # A job.json written while n_workers / job_timeout /
+        # quantize_embeddings were CatiConfig fields still resumes.
+        job_dir = tmp_path / "job"
+        first = run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
+        store = BatchJobStore(job_dir)
+        body = json.loads(store.job_path.read_text())
+        body["config"].update(n_workers=4, job_timeout=5.0,
+                              quantize_embeddings=True)
+        store.job_path.write_text(json.dumps(body))
         again = resume_job(job_dir)
         assert again["shards_run"] == 0
         assert again["shards_reused"] == 2

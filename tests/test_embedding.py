@@ -77,11 +77,10 @@ class TestWord2Vec:
     def test_unknown_token_gets_unk_vector(self, trained):
         assert np.array_equal(trained["qqq"], trained.vectors[0])
 
-    def test_save_load_round_trip(self, trained, tmp_path):
-        path = str(tmp_path / "w2v.npz")
-        trained.save(path)
-        loaded = Word2Vec.load(path)
+    def test_save_load_round_trip(self, trained):
+        loaded = Word2Vec.from_state(trained.get_state())
         assert np.array_equal(loaded.vectors, trained.vectors)
+        assert np.array_equal(loaded.context_vectors, trained.context_vectors)
         assert loaded.vocab.token_to_id == trained.vocab.token_to_id
 
     def test_empty_training_is_noop(self):

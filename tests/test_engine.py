@@ -1,7 +1,7 @@
 """Equivalence suite for the batched inference engine.
 
 Every fast path (window dedup, context-dedup cascade, float32 stacked
-kernels, chunking, batched occlusion, worker sharding) must reproduce
+kernels, chunking, batched occlusion) must reproduce
 the naive float64 reference to ≤1e-6 — that tolerance is the engine's
 contract (ISSUE acceptance criterion), everything below it is free
 performance.
@@ -218,20 +218,17 @@ class TestOcclusionEquivalence:
 
 class TestBinaryInference:
     @pytest.fixture(scope="class")
-    def jobs(self):
+    def job(self):
         from repro.codegen import GccCompiler, strip
         from repro.experiments.speed import extents_from_debug
 
-        jobs = []
-        for seed in (901, 902, 903):
-            binary = GccCompiler().compile_fresh(seed=seed, name=f"j{seed}", opt_level=0)
-            jobs.append((strip(binary), extents_from_debug(binary)))
-        return jobs
+        binary = GccCompiler().compile_fresh(seed=901, name="j901", opt_level=0)
+        return strip(binary), extents_from_debug(binary)
 
-    def test_infer_binary_matches_naive(self, mini_cati, jobs):
+    def test_infer_binary_matches_naive(self, mini_cati, job):
         from repro.vuc.dataset import extract_unlabeled_vucs
 
-        stripped, extents = jobs[0]
+        stripped, extents = job
         fast = mini_cati.engine.infer_binary(stripped, extents)
         pairs = extract_unlabeled_vucs(stripped, extents, mini_cati.config.window)
         naive = mini_cati.predict_variables(
@@ -239,23 +236,6 @@ class TestBinaryInference:
         )
         assert [p.variable_id for p in fast] == [p.variable_id for p in naive]
         assert [p.predicted for p in fast] == [p.predicted for p in naive]
-
-    def test_infer_binary_many_serial(self, mini_cati, jobs):
-        engine = mini_cati.engine
-        looped = [engine.infer_binary(stripped, extents) for stripped, extents in jobs]
-        many = engine.infer_binary_many(jobs, n_workers=0)
-        assert len(many) == len(looped)
-        for a, b in zip(many, looped):
-            assert [p.predicted for p in a] == [p.predicted for p in b]
-
-    def test_infer_binary_many_parallel(self, mini_cati, jobs):
-        engine = mini_cati.engine
-        serial = engine.infer_binary_many(jobs, n_workers=0)
-        parallel = engine.infer_binary_many(jobs, n_workers=2)
-        assert len(parallel) == len(serial)
-        for a, b in zip(parallel, serial):
-            assert [p.variable_id for p in a] == [p.variable_id for p in b]
-            assert [p.predicted for p in a] == [p.predicted for p in b]
 
 
 class TestPipelineIntegration:
@@ -307,48 +287,3 @@ class TestKernelArena:
         naive = mini_cati.predict_vuc_proba(test_windows[:40])
         assert np.abs(engine.leaf_proba(test_windows[:40]) - naive).max() <= TOL
 
-
-class TestQuantizedEmbeddings:
-    """The opt-in int8 embedding table trades the exact-equivalence gate
-    for a bounded, measured accuracy delta."""
-
-    def test_leaf_probs_within_bound(self, mini_cati, test_windows):
-        naive = mini_cati.predict_vuc_proba(test_windows)
-        engine = fresh_engine(mini_cati, quantize_embeddings=True)
-        quantized = engine.leaf_proba(test_windows)
-        assert np.abs(quantized - naive).max() <= 0.05
-        agreement = (quantized.argmax(axis=1) == naive.argmax(axis=1)).mean()
-        assert agreement >= 0.98
-
-    def test_table_built_only_when_opted_in(self, mini_cati):
-        engine = fresh_engine(mini_cati)
-        engine.warm_start()
-        assert engine._q_table is None
-        quantized = fresh_engine(mini_cati, quantize_embeddings=True)
-        quantized.warm_start()
-        values, scales = quantized._q_table
-        assert values.dtype == np.int8
-        assert values.shape == quantized.encoder.embedding.vectors.shape
-        assert scales.shape == (len(values),)
-
-    def test_quantize_rows_int8_bounds(self):
-        from repro.nn.layers import quantize_rows_int8
-
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(size=(50, 32)).astype(np.float32)
-        matrix[7] = 0.0
-        values, scales = quantize_rows_int8(matrix)
-        assert values.dtype == np.int8
-        # Dequantization error is at most half a quantization step per row.
-        recon = values.astype(np.float64) * scales[:, None]
-        assert np.all(np.abs(recon - matrix) <= scales[:, None] / 2 + 1e-7)
-        # All-zero rows stay exactly zero with a well-defined scale.
-        assert (values[7] == 0).all()
-        assert scales[7] == 1.0
-
-    def test_refresh_rebuilds_table(self, mini_cati, test_windows):
-        engine = fresh_engine(mini_cati, quantize_embeddings=True)
-        before = engine.leaf_proba(test_windows[:30])
-        engine.refresh()
-        after = engine.leaf_proba(test_windows[:30])
-        assert np.array_equal(before, after)

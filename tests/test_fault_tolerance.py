@@ -1,26 +1,24 @@
-"""Fault-tolerance suite: the error taxonomy, the skip-and-record policy,
-the hardened tool runner, and worker-pool fault isolation.
+"""Fault-tolerance suite: the error taxonomy, the skip-and-record policy
+and the hardened tool runner.
 
 Every failure exercised here is manufactured deterministically by
 ``tests/faultinject.py`` — no real flaky machine required.  The
 integrated test at the bottom is the acceptance scenario: a corpus with
-~20% corrupted functions plus a crashed worker, a corrupted ELF, a
-truncated DWARF stream and a tool timeout still yields predictions for
-every healthy function identical to a clean run, with a
-:class:`FailureReport` enumerating every injection.
+~20% corrupted functions plus a corrupted ELF, a truncated DWARF stream
+and a tool timeout still yields predictions for every healthy function
+identical to a clean run, with a :class:`FailureReport` enumerating
+every injection.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 
 import numpy as np
 import pytest
 
 from repro.codegen.compilers import GccCompiler
 from repro.codegen.strip import strip
-from repro.core import engine as engine_mod
 from repro.core.errors import (
     CatiError,
     DecodeError,
@@ -333,7 +331,7 @@ class TestEngineSkipPolicy:
         assert "injected corrupt function bytes" in payload
 
 
-# -- worker-pool fault isolation -------------------------------------------------
+# -- the acceptance scenario -----------------------------------------------------
 
 
 def build_jobs(seeds):
@@ -345,93 +343,36 @@ def build_jobs(seeds):
     return jobs
 
 
-class TestWorkerPool:
-    def test_serial_fallback_is_emitted(self, mini_cati, demo_binary,
-                                        monkeypatch, caplog):
-        engine = mini_cati.engine
-        jobs = [(strip(demo_binary), extents_from_debug(demo_binary))] * 2
-        expected = [prediction_map(r)
-                    for r in engine.infer_binary_many(jobs, n_workers=0)]
-        assert engine.last_parallel_fallback is None  # serial was requested
-
-        def no_fork(method):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        monkeypatch.setattr(engine_mod.multiprocessing, "get_context", no_fork)
-        with caplog.at_level(logging.WARNING, logger="repro.core.engine"):
-            results = engine.infer_binary_many(jobs, n_workers=2)
-        assert [prediction_map(r) for r in results] == expected
-        assert engine.last_parallel_fallback is not None
-        assert "fork unavailable" in engine.last_parallel_fallback
-        assert "falling back to serial" in caplog.text
-
-    def test_crashed_worker_is_retried_in_process(self, mini_cati, monkeypatch):
-        engine = mini_cati.engine
-        jobs = build_jobs([21, 22])
-        clean = [prediction_map(r) for r in engine.infer_binary_many(jobs, n_workers=0)]
-
-        fi.install_worker_fault(monkeypatch, crash={0})
-        report = FailureReport()
-        results = engine.infer_binary_many(
-            jobs, n_workers=2, job_timeout=10.0, on_error="skip", failures=report)
-
-        assert [prediction_map(r) for r in results] == clean
-        pool_records = [r for r in report if r.stage == "pool"]
-        assert len(pool_records) == 1
-        assert pool_records[0].binary == jobs[0][0].name
-        assert "crashed or hung" in pool_records[0].message
-
-    def test_hung_worker_times_out_and_recovers(self, mini_cati, monkeypatch):
-        engine = mini_cati.engine
-        jobs = build_jobs([23, 24])
-        clean = [prediction_map(r) for r in engine.infer_binary_many(jobs, n_workers=0)]
-
-        fi.install_worker_fault(monkeypatch, hang={1})
-        results = engine.infer_binary_many(
-            jobs, n_workers=2, job_timeout=2.0, on_error="skip")
-
-        assert [prediction_map(r) for r in results] == clean
-        assert any(r.stage == "pool" for r in results[1].failures)
-        assert not any(r.stage == "pool" for r in results[0].failures)
-
-
-# -- the acceptance scenario -----------------------------------------------------
-
-
 class TestIntegratedDegradedCorpus:
-    """~20% corrupted functions + crashed worker + corrupt ELF + truncated
-    DWARF + tool timeout, on one corpus, in one report."""
+    """~20% corrupted functions + corrupt ELF + truncated DWARF + tool
+    timeout, on one corpus, in one report."""
 
-    def test_degraded_corpus_matches_clean_run(self, mini_cati, monkeypatch):
+    def test_degraded_corpus_matches_clean_run(self, mini_cati):
         engine = mini_cati.engine
         jobs = build_jobs([31, 32, 33, 34])
-        clean = [prediction_map(r) for r in engine.infer_binary_many(jobs, n_workers=0)]
+        clean = [prediction_map(engine.infer_binary(stripped, extents))
+                 for stripped, extents in jobs]
 
         report = FailureReport()
 
-        # Injection 1+2: poison ~20% of every binary's functions, crash
-        # the worker handling job 1.
-        poisoned_jobs, poisoned_by_job = [], []
+        # Injection 1: poison ~20% of every binary's functions.
+        results, poisoned_by_job = [], []
         for stripped, extents in jobs:
             poisoned, indices = fi.poison_binary(stripped, fraction=0.2)
-            poisoned_jobs.append((poisoned, extents))
+            results.append(engine.infer_binary(
+                poisoned, extents, on_error="skip", failures=report))
             poisoned_by_job.append(indices)
-        fi.install_worker_fault(monkeypatch, crash={1})
 
-        results = engine.infer_binary_many(
-            poisoned_jobs, n_workers=2, job_timeout=10.0,
-            on_error="skip", failures=report)
-
-        # Injection 3: corrupted ELF section table.
+        # Injection 2: corrupted ELF section table.
         ElfFile(fi.minimal_elf(text=fi.GOOD_CODE, corrupt="shnum"),
                 on_error="skip", failures=report)
 
-        # Injection 4: truncated DWARF.
+        # Injection 3: truncated DWARF.
         parse_compile_units(
             fi.truncate_second_cu(fi.build_debug_info(2)), fi.build_abbrev(),
             b"", b"", on_error="skip", failures=report)
 
-        # Injection 5: persistent tool timeout.
+        # Injection 4: persistent tool timeout.
         try:
             run_tool(["gcc", "--version"], timeout=0.01, retries=1,
                      runner=fi.FlakyRunner(["timeout", "timeout"]),
@@ -452,7 +393,6 @@ class TestIntegratedDegradedCorpus:
         # The report enumerates every injected failure.
         stages = report.by_stage()
         assert stages["extract"] == n_poisoned       # every poisoned function
-        assert stages["pool"] == 1                   # the crashed worker
         assert stages["elf"] == 1                    # the corrupt section table
         assert stages["dwarf"] == 1                  # the truncated CU
         assert stages["toolchain"] == 1              # the tool timeout
@@ -497,10 +437,8 @@ class TestCliKnobs:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["infer", "--on-error", "skip", "--job-timeout", "5",
-             "--tool-timeout", "30"])
+            ["infer", "--on-error", "skip", "--tool-timeout", "30"])
         assert args.on_error == "skip"
-        assert args.job_timeout == 5.0
         assert args.tool_timeout == 30.0
 
     def test_config_validates_timeouts(self):
@@ -509,7 +447,4 @@ class TestCliKnobs:
         with pytest.raises(ValueError):
             CatiConfig(tool_timeout=0)
         with pytest.raises(ValueError):
-            CatiConfig(job_timeout=-1.0)
-        with pytest.raises(ValueError):
             CatiConfig(tool_retries=-1)
-        assert CatiConfig(job_timeout=None).job_timeout is None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import shutil
 import signal
 import subprocess
@@ -446,17 +447,21 @@ class TestHttpServing:
                           "variable_ids": ["v"]})
         assert excinfo.value.status == 400
 
-    def test_path_job_reads_server_side_file(self, daemon, job_binaries,
-                                             offline_results, tmp_path):
+    def test_path_job_is_rejected(self, daemon, job_binaries, tmp_path):
+        # The server never reads a file a client names: a "path" body is
+        # an unknown job kind on both endpoints that take a job.
         _daemon, client = daemon
         stripped, extents = job_binaries[2]
         job_file = tmp_path / "job.json"
         job_file.write_text(json.dumps({
             "binary": protocol.binary_to_wire(stripped),
             "extents": protocol.extents_to_wire(extents)}))
-        response = client.infer({"path": str(job_file)})
-        assert (prediction_tuples(response["predictions"])
-                == prediction_tuples(offline_results[2]))
+        for send in (client.infer, client.open_session):
+            with pytest.raises(ServeClientError) as excinfo:
+                send({"path": str(job_file)})
+            assert excinfo.value.status == 400
+            for kind in protocol.JOB_KINDS:
+                assert repr(kind) in str(excinfo.value)
 
     def test_malformed_requests_get_400(self, daemon):
         _daemon, client = daemon
@@ -609,17 +614,29 @@ class TestSigtermDrain:
              "--max-delay-ms", "700", "--queue-limit", "8"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env)
+        assert process.stdout is not None
+        lines: queue.Queue = queue.Queue()
+
+        def pump() -> None:
+            # readline() has no timeout; reading on a thread lets the
+            # deadline below fire even when no banner line ever arrives.
+            for line in process.stdout:
+                lines.put(line)
+            lines.put(None)
+
+        threading.Thread(target=pump, daemon=True).start()
         try:
             port = None
             deadline = time.monotonic() + 120
-            assert process.stdout is not None
-            while time.monotonic() < deadline:
-                line = process.stdout.readline()
+            while port is None and time.monotonic() < deadline:
+                try:
+                    line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+                except queue.Empty:
+                    break
+                if line is None:
+                    pytest.fail("serve process died before binding")
                 if line.startswith("serving on http://"):
                     port = int(line.rsplit(":", 1)[1])
-                    break
-                if not line and process.poll() is not None:
-                    pytest.fail("serve process died before binding")
             assert port, "never saw the serving banner"
 
             stripped, extents = job_binaries[0]
