@@ -352,8 +352,7 @@ def test_serve_throughput(gcc_context, tmp_path):
         except OSError:
             time.sleep(0.05)
 
-    # The packed wire form — what ServeClient.infer_windows sends; the
-    # nested-list form costs ~10x more JSON parsing server-side.
+    # The packed wire form — what ServeClient.infer_windows sends.
     bodies = [{"windows_packed": protocol.pack_windows(chunk_windows),
                "variable_ids": chunk_ids}
               for chunk_windows, chunk_ids in chunks]
@@ -377,9 +376,10 @@ def test_serve_throughput(gcc_context, tmp_path):
             thread.join()
         return time.perf_counter() - t0
 
-    # Warm the HTTP/scheduler path with windows that don't seed the
-    # daemon engine's dedup cache for the measured stream.
-    client.infer({"windows": [[["warm", "reg", "mem"]]], "variable_ids": ["w"]})
+    # Warm the HTTP/scheduler/engine path with a window that doesn't
+    # seed the daemon engine's dedup cache for the measured stream.
+    client.infer({"windows_packed": ["\n".join(["warm\treg\tmem"] * cati.config.vuc_length)],
+                  "variable_ids": ["w"]})
     # Cold barrages are the served twin of the offline cold-cache
     # measurement: clear the daemon engine's dedup cache before each
     # repeat (same best-of discipline as offline()).
@@ -647,8 +647,9 @@ def test_serve_scaling(gcc_context, tmp_path):
         # Touch every worker's HTTP path without seeding the measured
         # stream into any dedup cache.
         for _ in range(n_workers * 2):
-            client.infer({"windows": [[["warm", "reg", "mem"]]],
-                          "variable_ids": ["w"]})
+            client.infer({"windows_packed": [
+                "\n".join(["warm\treg\tmem"] * cati.config.vuc_length)],
+                "variable_ids": ["w"]})
 
         cold_s = barrage(client)
         warm_s = barrage(client)  # dedup-cache-warm: serving overhead only

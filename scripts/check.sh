@@ -10,9 +10,10 @@
 #              EXPERIMENTS.md matches its generator section-for-section,
 #              every public CatiConfig field is documented in
 #              docs/OPERATIONS.md, docs/DEPLOYMENT.md exists with
-#              the serving knobs covered and cross-linked, and every
+#              the serving knobs covered and cross-linked, every
 #              span name recorded in core/engine.py or vuc/ is named
-#              in docs/OPERATIONS.md.
+#              in docs/OPERATIONS.md, and the job kinds it lists for
+#              /v1/infer and /v1/session/open match serve.protocol.
 #   --serve    run the serving smoke only (scripts/smoke_serve.py):
 #              train a mini model, launch `python -m repro serve` as a
 #              subprocess, check healthz / packed infer / hot reload /

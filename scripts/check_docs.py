@@ -28,6 +28,12 @@ Checks:
    passed to a ``span(...)``/``_span(...)`` call — is named, in
    backticks, in docs/OPERATIONS.md — catches a renamed span the span
    table still lists under its old name.
+7. The job kinds docs/OPERATIONS.md lists for ``POST /v1/infer`` and
+   ``POST /v1/session/open`` are exactly ``protocol.JOB_KINDS`` and
+   ``protocol.SESSION_JOB_KINDS`` — catches a removed job kind the
+   endpoint docs still list.  Only the one sentence per endpoint is
+   parsed: other backticked names (``windows`` is also an ``engine.*``
+   counter) do not count.
 
 Exits non-zero listing every discrepancy; prints nothing but a one-line
 OK otherwise.
@@ -201,6 +207,55 @@ def check_span_docs(problems: list[str]) -> None:
                         f"({path.relative_to(REPO_ROOT)})")
 
 
+#: Where OPERATIONS.md lists each endpoint's job kinds, and the
+#: ``repro.serve.protocol`` tuple the list must equal.
+JOB_KIND_SENTENCES = (
+    ("`POST /v1/infer` — one job per request. Job kinds (exactly one key):",
+     "JOB_KINDS"),
+    ("`POST /v1/session/open` — job kinds (exactly one key):",
+     "SESSION_JOB_KINDS"),
+)
+
+
+def listed_job_kinds(text: str, marker: str) -> list[str] | None:
+    """Backticked names in the sentence that ``marker`` opens.
+
+    Parenthesized remarks are dropped first, so ``(... + `extents`)``
+    names no kind; the sentence ends at its period or its bullet.
+    """
+    start = text.find(marker)
+    if start < 0:
+        return None
+    block = text[start + len(marker):].split("\n* ", 1)[0]
+    while True:
+        unwrapped = re.sub(r"\([^()]*\)", "", block)
+        if unwrapped == block:
+            break
+        block = unwrapped
+    sentence = re.split(r"\.(?:\s|$)", block, maxsplit=1)[0]
+    return re.findall(r"`([^`]+)`", sentence)
+
+
+def check_job_kind_docs(problems: list[str]) -> None:
+    """Each endpoint's documented job kinds equal the protocol's."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.serve import protocol
+
+    ops = REPO_ROOT / "docs" / "OPERATIONS.md"
+    if not ops.exists():
+        return
+    text = ops.read_text()
+    for marker, name in JOB_KIND_SENTENCES:
+        expected = list(getattr(protocol, name))
+        listed = listed_job_kinds(text, marker)
+        if listed is None:
+            problems.append(f"docs/OPERATIONS.md lacks the sentence {marker!r}")
+        elif listed != expected:
+            problems.append(
+                f"docs/OPERATIONS.md lists job kinds {listed} after {marker!r}; "
+                f"protocol.{name} is {expected}")
+
+
 def main() -> int:
     problems: list[str] = []
     check_experiments_md(problems)
@@ -209,12 +264,13 @@ def main() -> int:
     check_posterior_docs(problems)
     check_session_docs(problems)
     check_span_docs(problems)
+    check_job_kind_docs(problems)
     if problems:
         for problem in problems:
             print(f"DOCS DRIFT: {problem}", file=sys.stderr)
         return 1
     print("docs checks OK (EXPERIMENTS.md sections + CatiConfig coverage"
-          " + DEPLOYMENT.md graph + span names)")
+          " + DEPLOYMENT.md graph + span names + job kinds)")
     return 0
 
 

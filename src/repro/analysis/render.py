@@ -20,7 +20,7 @@ def annotation_variable_ids(func: FunctionListing,
     """Instruction index → variable id for one function's located targets.
 
     Runs the same locate/group pass extraction runs
-    (:func:`repro.vuc.dataset.extract_unlabeled_vucs` uses the identical
+    (:func:`repro.vuc.stream.extract_vuc_stream` uses the identical
     ``scope`` convention, ``"{binary}/{func_index}"``), so the ids here
     join exactly against per-variable predictions.
     """

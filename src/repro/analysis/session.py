@@ -2,8 +2,9 @@
 
 An :class:`AnalysisSession` is what ``POST /v1/session/open`` builds and
 the session store holds: the stripped binary, its variable extents, and
-— computed exactly once, at open — the located targets, the grouped
-per-variable VUC windows with row-aligned access sites, and the encoded
+— computed exactly once, at open — the binary's
+:class:`~repro.vuc.stream.VucStream` (one token stream, a center offset
+per window, row-aligned variable ids and access sites) and the encoded
 id tensor the engine consumes.  Every subsequent tool call against the
 session reuses that state, so the per-question cost of ``type_variable``
 or ``annotate_disassembly`` is one small engine call, not a re-parse.
@@ -14,10 +15,12 @@ half (:func:`repro.vuc.stream.extract_vuc_stream`, encoded once through
 what makes the session tools' outputs equal to the offline paths.
 
 Reload interplay: the id tensor remembers the engine *generation* it
-was encoded under.  The micro-batch scheduler only trusts pre-encoded
-ids while the generation still matches and re-encodes from the kept
-windows otherwise, so sessions survive ``/v1/reload`` — at the cost of
-one re-encode, not a 410.
+was encoded under.  The first tool call after a ``/v1/reload``
+re-encodes the stream once under the new generation
+(:meth:`AnalysisSession.encoded`), so sessions survive a reload at the
+cost of one re-encode, not a 410.  The micro-batch scheduler still
+re-encodes a request whose reload landed between that encode and its
+batch.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from repro.codegen.binary import Binary
 from repro.core import observability
 from repro.core.config import CatiConfig
 from repro.core.errors import FailureReport, RequestError
-from repro.vuc.dataflow import AccessSite, VariableExtent
+from repro.vuc.dataflow import VariableExtent
+from repro.vuc.stream import VucStream, extract_vuc_stream
 
 #: Rough per-instruction bookkeeping cost (listing objects + annotation
 #: maps) charged into the session's byte estimate.
@@ -45,26 +49,24 @@ class AnalysisSession:
 
     def __init__(self, session_id: str, binary: Binary,
                  extents: list[list[VariableExtent]], *,
-                 windows: list, variable_ids: list[str],
-                 sites: list[AccessSite], ids, generation: int,
+                 stream: VucStream, ids, generation: int,
                  annotations: list[dict[int, str]]) -> None:
         self.session_id = session_id
         self.binary = binary
         self.extents = extents
-        self.windows = windows
-        self.variable_ids = variable_ids
-        self.sites = sites
-        #: Pre-encoded [N, L, 3] id tensor + the engine generation it
-        #: was encoded under (None ids only when the binary had no VUCs).
+        #: The binary's windows with row-aligned variable ids and sites.
+        self.stream = stream
+        #: The stream's [N, L, 3] id tensor + the engine generation it
+        #: was encoded under; read them through :meth:`encoded`.
         self.ids = ids
         self.ids_generation = generation
         #: Per function: instruction index → variable id (Fig. 2 joins).
         self.annotations = annotations
-        #: variable id → row indices into windows/ids/sites, extraction
-        #: order — a per-variable slice votes identically to the full
-        #: matrix because eq. 3-4's vote is per-variable independent.
+        #: variable id → row indices into stream/ids, extraction order —
+        #: a per-variable slice votes identically to the full matrix
+        #: because eq. 3-4's vote is per-variable independent.
         self.rows: dict[str, list[int]] = {}
-        for row, variable_id in enumerate(variable_ids):
+        for row, variable_id in enumerate(stream.variable_ids):
             self.rows.setdefault(variable_id, []).append(row)
         self.created_at = time.time()
         self.nbytes = self._estimate_nbytes()
@@ -76,10 +78,10 @@ class AnalysisSession:
     def _estimate_nbytes(self) -> int:
         from repro.core.types import ALL_TYPES
 
-        ids_bytes = int(self.ids.nbytes) if self.ids is not None else 0
+        ids_bytes = int(self.ids.nbytes)
         # Reserve the cached leaf-posterior matrix up front so the LRU
         # budget accounts for a session's full resident cost at open.
-        probs_bytes = len(self.windows) * len(ALL_TYPES) * 8
+        probs_bytes = len(self.stream) * len(ALL_TYPES) * 8
         listing_bytes = sum(len(func.instructions) * _INSTRUCTION_OVERHEAD
                             for func in self.binary.functions)
         return _SESSION_OVERHEAD + ids_bytes + probs_bytes + listing_bytes
@@ -126,21 +128,34 @@ class AnalysisSession:
 
     # -- scoring ---------------------------------------------------------------------
 
+    def encoded(self, model_host):
+        """``(ids, generation)`` under the serving model's generation.
+
+        Re-encodes the stream once when a reload moved the generation;
+        concurrent calls wait on the session lock instead of encoding
+        again.
+        """
+        _cati, engine, generation = model_host.acquire()
+        with self._lock:
+            if self.ids_generation != generation:
+                self.ids = engine.encoder.encode_stream(self.stream)
+                self.ids_generation = generation
+            return self.ids, self.ids_generation
+
     def ensure_scored(self, daemon):
         """The session's full (probs, predictions), computed once per generation.
 
-        Goes through the daemon's micro-batch scheduler (so a reload
-        mid-flight re-encodes, and concurrent sessions coalesce); the
-        cache is invalidated when the engine generation moves.
+        Goes through the daemon's micro-batch scheduler (so concurrent
+        sessions coalesce); the cache is invalidated when the engine
+        generation moves.
         """
-        _cati, _engine, generation = daemon.model_host.acquire()
+        ids, generation = self.encoded(daemon.model_host)
         with self._lock:
             if self._probs is not None and self._scored_generation == generation:
                 return self._probs, self._predictions
         pending = daemon.scheduler.submit(
-            self.windows, self.variable_ids,
-            deadline_s=daemon.default_deadline_s,
-            ids=self.ids, generation=self.ids_generation)
+            self.stream, deadline_s=daemon.default_deadline_s,
+            ids=ids, generation=generation)
         predictions = daemon.scheduler.wait(
             pending, timeout=daemon.default_deadline_s)
         with self._lock:
@@ -156,15 +171,12 @@ def build_session(session_id: str, stripped: Binary,
                   on_error: str = "skip",
                   failures: FailureReport | None = None) -> AnalysisSession:
     """Open-time pass: extract, group, encode — once — into a session."""
-    from repro.vuc.stream import extract_vuc_stream
-
     with observability.span("sessions.extract"):
         stream = extract_vuc_stream(
             stripped, extents, config.window, on_error=on_error,
             failures=failures, metrics=config.metrics_enabled, sites=True)
-    variable_ids = stream.variable_ids
-    ids = encoder.encode_stream(stream) if len(stream) else None
-    extracted = set(variable_ids)
+    ids = encoder.encode_stream(stream)
+    extracted = set(stream.variable_ids)
     annotations: list[dict[int, str]] = []
     for func_index, func in enumerate(stripped.functions):
         func_extents = (extents[func_index]
@@ -185,8 +197,7 @@ def build_session(session_id: str, stripped: Binary,
                             for index, variable_id in mapping.items()
                             if variable_id in extracted})
     return AnalysisSession(
-        session_id, stripped, extents, windows=stream.windows(),
-        variable_ids=variable_ids, sites=stream.sites, ids=ids,
+        session_id, stripped, extents, stream=stream, ids=ids,
         generation=generation, annotations=annotations)
 
 

@@ -67,16 +67,14 @@ def _tool_type_variable(daemon, session: AnalysisSession, args: dict) -> dict:
     if not isinstance(variable_id, str):
         raise RequestError("'variable_id' must be a string", stage="serve")
     rows = session.variable_rows(variable_id)
-    windows = [session.windows[row] for row in rows]
-    ids = session.ids[rows] if session.ids is not None else None
+    ids, generation = session.encoded(daemon.model_host)
     # One variable's windows through the scheduler: the small-batch path
     # the interactive latency benchmark measures.  A per-variable slice
     # votes identically to the full-binary matrix (eq. 3-4 sums per
     # variable), so this equals the offline prediction byte-for-byte.
     pending = daemon.scheduler.submit(
-        windows, [variable_id] * len(rows),
-        deadline_s=daemon.default_deadline_s,
-        ids=ids, generation=session.ids_generation)
+        session.stream.subset(rows), deadline_s=daemon.default_deadline_s,
+        ids=ids[rows], generation=generation)
     predictions = daemon.scheduler.wait(pending,
                                         timeout=daemon.default_deadline_s)
     return {
@@ -101,7 +99,7 @@ def _tool_explain(daemon, session: AnalysisSession, args: dict) -> dict:
         raise RequestError(
             f"variable {variable_id!r} has {len(rows)} VUCs; "
             f"'vuc' {vuc} is out of range", stage="serve")
-    window = session.windows[rows[vuc]]
+    window = session.stream.subset([rows[vuc]]).windows()[0]
     _cati, engine, _generation = daemon.model_host.acquire()
     batched = engine.occlusion_epsilons_many([window])
     epsilons = batched.epsilons[0]
@@ -145,7 +143,7 @@ def _tool_struct_layouts(daemon, session: AnalysisSession, args: dict) -> dict:
     probs, predictions = session.ensure_scored(daemon)
     config = daemon.model_host.config
     layouts = recover_layouts(
-        predictions, probs, session.variable_ids, session.sites,
+        predictions, probs, session.stream.variable_ids, session.stream.sites,
         threshold=config.confidence_threshold,
         min_accesses=config.posterior_min_accesses)
     return {

@@ -112,7 +112,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     _apply_metrics_flags(args)
     config = _config_for_model(args.model_dir,
-                               tool_timeout=args.tool_timeout,
                                metrics_enabled=not args.no_metrics)
     cati = Cati.load(args.model_dir, config=config, warm_start=True)
     compiler = compiler_by_name(args.compiler)
@@ -482,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--seed", type=int, default=1234)
     infer.add_argument("--on-error", choices=("raise", "skip"), default="raise",
                        help="skip-and-record damaged functions instead of aborting")
-    infer.add_argument("--tool-timeout", type=float, default=60.0,
-                       help="seconds per external tool invocation")
     infer.add_argument("--structs", action="store_true",
                        help="also run the posterior struct-layout recovery stage "
                             "and print/emit recovered layouts")

@@ -18,7 +18,8 @@ logger = logging.getLogger(__name__)
 #: Fields earlier versions wrote into ``manifest.json`` / ``job.json``
 #: that no longer exist.  :meth:`CatiConfig.from_dict` drops them (with
 #: one logged note) so artifacts written before their removal still load.
-RETIRED_FIELDS = ("n_workers", "job_timeout", "quantize_embeddings")
+RETIRED_FIELDS = ("n_workers", "job_timeout", "quantize_embeddings",
+                  "tool_timeout", "tool_retries")
 
 
 @dataclass
@@ -39,8 +40,6 @@ class CatiConfig:
     seed: int = 0
     max_batch: int = 1024              # engine: windows per dense inference chunk
     dedup_cache_size: int = 65536      # engine: cached leaf rows for repeated windows (0 = off)
-    tool_timeout: float = 60.0         # toolchain: seconds per external tool run
-    tool_retries: int = 2              # toolchain: retries after a transient tool failure
     metrics_enabled: bool = True       # observability: record pipeline metrics/spans
     metrics_vote_detail: bool = True   # observability: per-leaf-type vote-margin histograms
     serve_max_batch: int = 4096        # serve: max VUC windows coalesced per engine call
@@ -65,10 +64,6 @@ class CatiConfig:
             raise ValueError("max_batch must be >= 1")
         if self.dedup_cache_size < 0:
             raise ValueError("dedup_cache_size must be >= 0")
-        if self.tool_timeout <= 0:
-            raise ValueError("tool_timeout must be > 0")
-        if self.tool_retries < 0:
-            raise ValueError("tool_retries must be >= 0")
         if self.serve_max_batch < 1:
             raise ValueError("serve_max_batch must be >= 1")
         if self.serve_max_delay_ms < 0:

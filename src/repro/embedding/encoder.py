@@ -12,10 +12,11 @@ The only per-encoder state is the flat ``intern_id → vocabulary
 id-triple`` array, grown in id order as new triples appear.
 ``encode_ids`` exposes the ``[N, L, 3]`` token-id tensor the inference
 engine uses for content-hash deduplication without materializing
-embeddings; ``encode_stream`` builds the same tensor from a per-binary
-token stream, encoding each instruction once and gathering windows by
-center offset; ``encode_packed_ids`` decodes the serving wire format
-through the process-wide line memo, never building throwaway tuples.
+embeddings; ``encode_stream`` builds the same tensor from a
+:class:`~repro.vuc.stream.VucStream`, encoding each stream slot once
+and gathering windows by center offset.  Every serving job and session
+carries a stream, so ``encode_stream`` is the only encoder the serving
+layer calls.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.embedding.word2vec import Word2Vec
 from repro.vuc.generalize import Tokens
-from repro.vuc.intern import intern_line, intern_tokens, interned_by_id
+from repro.vuc.intern import intern_tokens, interned_by_id
 from repro.vuc.stream import VucStream
 
 _intern_id_of = operator.attrgetter("intern_id")
@@ -124,33 +125,6 @@ class VucEncoder:
         rows = self._rows_for(idx)[idx]
         offsets = np.arange(-window, window + 1)
         return rows[np.asarray(stream.centers)[:, None] + offsets]
-
-    def encode_packed_ids(
-        self,
-        packed: Sequence[str],
-        length: int | None = None,
-    ) -> np.ndarray:
-        """Packed windows → [N, L, 3] int32 ids, skipping tuple building.
-
-        A packed window is one string: instructions joined by ``"\\n"``,
-        the three tokens of each by ``"\\t"`` (the serving wire format —
-        see :func:`repro.serve.protocol.pack_windows`).  Each distinct
-        line is interned once per *process* (:func:`repro.vuc.intern
-        .intern_line`), so the hot path is string splits plus dict hits
-        shared across every encoder and serve generation.
-        """
-        if not packed:
-            return np.zeros((0, length or 0, 3), dtype=np.int32)
-        n = len(packed)
-        split = [window.split("\n") for window in packed]
-        inferred = len(split[0])
-        flat = [line for lines in split for line in lines]
-        if len(flat) != n * inferred:
-            raise ValueError("all windows must share the same length")
-        idx = np.fromiter(
-            (intern_line(line).intern_id for line in flat),
-            dtype=np.int64, count=len(flat))
-        return self._rows_for(idx)[idx].reshape(n, inferred, 3)
 
     def encode_window(self, tokens: Sequence[Tokens]) -> np.ndarray:
         """One VUC → [len(window), 3*dim] float32 matrix."""

@@ -137,21 +137,14 @@ class ServeClient:
         request.update(options)
         return self.infer(request)
 
-    def infer_windows(self, windows, variable_ids, *, packed: bool = True,
-                      **options) -> dict:
+    def infer_windows(self, windows, variable_ids, **options) -> dict:
         """Type pre-extracted generalized VUC windows.
 
-        Sends the packed wire form by default — parsing it costs the
-        server an order of magnitude less than the nested-list form;
-        ``packed=False`` keeps the verbose format (useful when tokens
-        might contain tabs or newlines, which packing cannot carry).
+        Sends the ``windows_packed`` wire form: one string per window of
+        exactly the model's ``2w + 1`` instructions.
         """
-        if packed:
-            request = {"windows_packed": protocol.pack_windows(windows)}
-        else:
-            request = {"windows": [[list(triple) for triple in window]
-                                   for window in windows]}
-        request["variable_ids"] = list(variable_ids)
+        request = {"windows_packed": protocol.pack_windows(windows),
+                   "variable_ids": list(variable_ids)}
         request.update(options)
         return self.infer(request)
 

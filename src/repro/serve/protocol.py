@@ -11,17 +11,17 @@ key:
   uploaded stripped binary: per-function instruction listings (rendered
   through the canonical AT&T text the asm parser round-trips) plus the
   given variable locations (§VII-B's assumption);
-* ``{"windows": [[[m, op1, op2], ...], ...], "variable_ids": [...]}``
-  — pre-extracted generalized VUC windows, for clients that run
-  location/extraction themselves (decompiler plugins);
 * ``{"windows_packed": ["m\\top1\\top2\\n...", ...], "variable_ids":
-  [...]}`` — the same windows with each window packed into one string
-  (instructions joined by newlines, tokens by tabs).  Parsing a flat
-  string list is an order of magnitude cheaper than a deeply nested
-  JSON array, so this is what :class:`~repro.serve.client.ServeClient`
-  sends on the hot path;
+  [...]}`` — pre-extracted generalized VUC windows, for clients that
+  run location/extraction themselves (decompiler plugins): each window
+  one string of exactly ``2w + 1`` instructions joined by newlines,
+  tokens by tabs;
 * ``{"demo": {"seed": N, "compiler": "gcc", "opt_level": 1}}`` — the
   server compiles, strips and types a seeded demo binary (smoke tests).
+
+Every job becomes one :class:`~repro.vuc.stream.VucStream` (packed
+windows lie end to end, :func:`stream_from_packed`), so the serving
+layer encodes only through ``VucEncoder.encode_stream``.
 
 Optional request fields: ``on_error`` (``"skip"``/``"raise"``),
 ``deadline_ms`` (per-request deadline).
@@ -42,8 +42,7 @@ The schema is deliberately *router-transparent*: the pre-fork router
 (:mod:`repro.serve.router`) forwards ``/v1/infer`` bodies to worker
 processes byte-for-byte and relays their responses unparsed, so the
 multi-worker deployment speaks exactly this format with zero
-re-encoding on the forwarding path — the packed form's ~10x parsing
-advantage carries through unchanged.  Anything added to the schema is
+re-encoding on the forwarding path.  Anything added to the schema is
 automatically served by both deployment shapes.
 """
 
@@ -57,7 +56,8 @@ from repro.asm.parser import AsmParseError, parse_instruction
 from repro.codegen.binary import Binary
 from repro.core.errors import FailureReport, RequestError
 from repro.vuc.dataflow import VariableExtent
-from repro.vuc.intern import intern_line, intern_tokens
+from repro.vuc.intern import intern_line
+from repro.vuc.stream import VucStream
 
 if TYPE_CHECKING:
     from repro.core.pipeline import VariablePrediction
@@ -70,7 +70,7 @@ if TYPE_CHECKING:
 RESPONSE_SCHEMA = "cati-infer-response/2"
 
 #: Job kinds an /v1/infer request may carry (exactly one).
-JOB_KINDS = ("binary", "windows", "windows_packed", "demo")
+JOB_KINDS = ("binary", "windows_packed", "demo")
 
 #: Version tag stamped into every session-endpoint response
 #: (``/v1/session/open`` and ``/v1/session/<id>/call``); bump on any
@@ -173,59 +173,54 @@ def extents_from_wire(data: object) -> list[list[VariableExtent]]:
     return out
 
 
-def windows_from_wire(data: object) -> list[tuple[tuple[str, str, str], ...]]:
-    """Pre-extracted generalized windows → hashable token-triple tuples.
-
-    Triples are interned at the wire boundary (:func:`repro.vuc.intern
-    .intern_tokens`), so the encoder sees the same canonical objects the
-    offline extraction path produces and skips string hashing entirely.
-    """
-    if not isinstance(data, list):
-        raise RequestError("'windows' must be a list of windows", stage="serve")
-    out = []
-    for window in data:
-        try:
-            out.append(tuple(
-                intern_tokens((str(triple[0]), str(triple[1]), str(triple[2])))
-                for triple in window))
-        except (IndexError, TypeError) as error:
-            raise RequestError(
-                f"bad window entry (expected [mnemonic, op1, op2] triples): "
-                f"{error}", stage="serve") from error
-    return out
-
-
 def pack_windows(windows) -> list[str]:
     """Windows → the packed wire form (one string per window).
 
     Instructions are joined by ``"\\n"``, each instruction's three
     tokens by ``"\\t"``.  Generalized tokens never contain whitespace,
     so the packing round-trips; :func:`unpack_windows` is the inverse
-    and :meth:`VucEncoder.encode_packed_ids
-    <repro.embedding.encoder.VucEncoder.encode_packed_ids>` consumes
-    the packed form directly without rebuilding tuples.
+    and :func:`stream_from_packed` decodes it for the daemon.
     """
     return ["\n".join("\t".join(triple) for triple in window)
             for window in windows]
 
 
-def windows_from_packed(data: object) -> list[str]:
-    """Validate a ``windows_packed`` payload; returns it as ``list[str]``.
+def stream_from_packed(packed: object, variable_ids: object,
+                       window: int) -> VucStream:
+    """A ``windows_packed`` job → a stream of its windows laid end to end.
 
-    Structure (3 tokens per line, equal window lengths) is enforced by
-    the encoder when the ids are built; here we only reject payloads
-    the encoder could misread.
+    Each window must be ``2 * window + 1`` lines of three tab-separated
+    tokens and ``variable_ids`` a list aligned with the windows, else
+    :class:`RequestError` (400): a malformed request never joins a batch.
+    Lines decode through the line memo into one token list, with no tuple
+    per window.
     """
-    if not isinstance(data, list):
+    if not isinstance(packed, list):
         raise RequestError("'windows_packed' must be a list of strings",
                            stage="serve")
-    for window in data:
-        if not isinstance(window, str) or not window:
+    if not isinstance(variable_ids, list) or len(variable_ids) != len(packed):
+        raise RequestError(
+            "'variable_ids' must be a list aligned with 'windows_packed'",
+            stage="serve")
+    length = 2 * window + 1
+    tokens: list = []
+    for index, text in enumerate(packed):
+        lines = text.split("\n") if isinstance(text, str) else ()
+        if len(lines) != length:
             raise RequestError(
-                "each packed window must be a non-empty string "
-                "(instructions joined by newlines, tokens by tabs)",
+                f"packed window {index} must be a string of {length} "
+                "instructions joined by newlines, tokens by tabs",
                 stage="serve")
-    return data
+        try:
+            tokens += map(intern_line, lines)
+        except ValueError as error:
+            raise RequestError(f"packed window {index}: {error}",
+                               stage="serve") from error
+    stream = VucStream(window)
+    stream.tokens = tokens
+    stream.centers = list(range(window, len(tokens), length))
+    stream.variable_ids = [str(v) for v in variable_ids]
+    return stream
 
 
 def unpack_windows(packed: Sequence[str]) -> list[tuple]:
@@ -352,7 +347,7 @@ def session_open_response(session, *, ttl_s: float,
             "binary": session.binary.name,
             "n_functions": len(session.binary.functions),
             "n_variables": len(session.rows),
-            "n_windows": len(session.windows),
+            "n_windows": len(session.stream),
             "nbytes": session.nbytes,
             "ttl_s": ttl_s,
             "generation": session.ids_generation,

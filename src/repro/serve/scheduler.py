@@ -2,11 +2,13 @@
 
 The engine's batched path amortizes encode/dedup/GEMM cost over many
 windows, but one HTTP request usually carries one binary's worth. The
-scheduler closes that gap: handler threads :meth:`submit` their
-(windows, variable_ids) work and block; a single worker thread collects
+scheduler closes that gap: handler threads :meth:`submit` one
+:class:`~repro.vuc.stream.VucStream` each (with its id tensor, when
+they already encoded it) and block; a single worker thread collects
 everything that arrives within ``CatiConfig.serve_max_delay_ms`` (up to
-``serve_max_batch`` windows), encodes each request with the engine that
-will run the batch, concatenates the id tensors, runs **one**
+``serve_max_batch`` windows), re-encodes through
+:meth:`~repro.embedding.encoder.VucEncoder.encode_stream` any request
+whose ids predate a reload, concatenates the id tensors, runs **one**
 :meth:`~repro.core.engine.InferenceEngine.leaf_proba_ids` call, and
 votes each request's slice separately — so grouping and summation order
 per request are exactly the offline ``Cati.infer_binary`` path's.
@@ -51,19 +53,6 @@ from repro.core.observability import SIZE_BUCKETS
 _DEFAULT_RETRY_AFTER_S = 1.0
 
 
-def encode_request_ids(encoder, windows, length: int):
-    """Encode a request's windows, whichever wire form they arrived in.
-
-    Packed windows (``list[str]``, the client's hot-path format) go
-    through the string-memoized :meth:`~repro.embedding.encoder
-    .VucEncoder.encode_packed_ids`; token-triple windows through
-    :meth:`~repro.embedding.encoder.VucEncoder.encode_ids`.
-    """
-    if windows and isinstance(windows[0], str):
-        return encoder.encode_packed_ids(windows, length=length)
-    return encoder.encode_ids(windows, length=length)
-
-
 class PendingRequest:
     """One submitted inference job: inputs, completion event, outcome.
 
@@ -73,14 +62,13 @@ class PendingRequest:
     never serializes per-request voting between engine calls.
     """
 
-    __slots__ = ("windows", "variable_ids", "ids", "generation", "deadline",
-                 "event", "probs", "vote_args", "predictions", "error",
-                 "submitted_at")
+    __slots__ = ("stream", "ids", "generation", "deadline", "event", "probs",
+                 "vote_args", "predictions", "error", "submitted_at")
 
-    def __init__(self, windows, variable_ids, deadline: float | None,
-                 ids=None, generation: int | None = None) -> None:
-        self.windows = windows
-        self.variable_ids = variable_ids
+    def __init__(self, stream, deadline: float | None, ids=None,
+                 generation: int | None = None) -> None:
+        #: The request's windows and their row-aligned variable ids.
+        self.stream = stream
         #: Pre-encoded id tensor from the submitting thread (optional);
         #: only trusted while ``generation`` still matches the engine.
         self.ids = ids
@@ -114,7 +102,7 @@ class PendingRequest:
 
             threshold, metrics, vote_detail = self.vote_args
             self.predictions = predictions_from_probs(
-                self.probs, self.variable_ids, threshold,
+                self.probs, self.stream.variable_ids, threshold,
                 metrics=metrics, vote_detail=vote_detail)
         return self.predictions
 
@@ -156,32 +144,22 @@ class MicroBatchScheduler:
         with self._lock:
             return len(self._queue) + self._in_flight
 
-    def retry_after_s(self) -> float:
-        """Backoff hint: observed p50 batch latency times queued batches."""
-        histogram = observability.get_registry().histogram("serve.batch.seconds")
-        p50 = histogram.quantile(0.5)
-        if p50 is None:
-            return _DEFAULT_RETRY_AFTER_S
-        batches_ahead = max(1, self.queue_depth)
-        return max(0.1, min(p50 * batches_ahead, 60.0))
-
-    def submit(self, windows, variable_ids, deadline_s: float | None = None,
+    def submit(self, stream, deadline_s: float | None = None,
                ids=None, generation: int | None = None) -> PendingRequest:
-        """Enqueue one request; raises instead of queueing on overload.
+        """Enqueue one request's stream; raises instead of queueing on overload.
 
+        ``stream`` is a :class:`~repro.vuc.stream.VucStream`.
         ``deadline_s`` is a relative budget; it bounds queue wait (the
         HTTP layer separately bounds the wait on the result event).
         Callers may pass a pre-encoded ``ids`` tensor together with the
         engine ``generation`` it was encoded under — the worker uses it
         only if no reload happened in between.
         """
-        if len(windows) != len(variable_ids):
-            raise ValueError("windows and variable_ids must align")
         deadline = (time.monotonic() + deadline_s
                     if deadline_s is not None else None)
-        pending = PendingRequest(windows, variable_ids, deadline,
-                                 ids=ids, generation=generation)
-        if not windows:
+        pending = PendingRequest(stream, deadline, ids=ids,
+                                 generation=generation)
+        if not len(stream):
             pending.finish_empty()
             return pending
         with self._lock:
@@ -200,7 +178,10 @@ class MicroBatchScheduler:
         return pending
 
     def retry_after_s_locked(self) -> float:
-        """:meth:`retry_after_s` for callers already holding the lock."""
+        """Backoff hint: observed p50 batch latency times queued batches.
+
+        Callers hold the scheduler lock.
+        """
         histogram = observability.get_registry().histogram("serve.batch.seconds")
         p50 = histogram.quantile(0.5)
         if p50 is None:
@@ -247,17 +228,17 @@ class MicroBatchScheduler:
             if not self._queue:
                 return []
             batch = [self._queue.popleft()]
-            total = len(batch[0].windows)
+            total = len(batch[0].stream)
             # Coalesce: keep gathering until the window budget is spent,
             # the delay elapses, or (draining) the queue is empty.
             until = time.monotonic() + config.serve_max_delay_ms / 1000.0
             while total < max_windows:
                 if self._queue:
-                    if total + len(self._queue[0].windows) > max_windows:
+                    if total + len(self._queue[0].stream) > max_windows:
                         break
                     request = self._queue.popleft()
                     batch.append(request)
-                    total += len(request.windows)
+                    total += len(request.stream)
                     continue
                 remaining = until - time.monotonic()
                 if remaining <= 0 or self._closed:
@@ -290,7 +271,7 @@ class MicroBatchScheduler:
             metrics = config.metrics_enabled and observability.is_enabled()
             vote_args = (config.confidence_threshold, metrics,
                          config.metrics_vote_detail)
-            total = sum(len(r.windows) for r in live)
+            total = sum(len(r.stream) for r in live)
             started = time.monotonic()
             with observability.span("serve.batch"):
                 # Submitter-encoded ids are reused only when no reload
@@ -298,14 +279,13 @@ class MicroBatchScheduler:
                 # that actually runs the batch.
                 ids = np.concatenate([
                     r.ids if r.ids is not None and r.generation == generation
-                    else encode_request_ids(engine.encoder, r.windows,
-                                            config.vuc_length)
+                    else engine.encoder.encode_stream(r.stream)
                     for r in live])
                 probs = engine.leaf_proba_ids(ids)
                 offset = 0
                 for request in live:
-                    span = probs[offset:offset + len(request.windows)]
-                    offset += len(request.windows)
+                    span = probs[offset:offset + len(request.stream)]
+                    offset += len(request.stream)
                     request.finish(span, vote_args)
             if metrics:
                 registry = observability.get_registry()

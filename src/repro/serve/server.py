@@ -1,17 +1,17 @@
 """The HTTP daemon: routing, error mapping, overload headers, drain.
 
 Stdlib only (``http.server``'s :class:`ThreadingHTTPServer`): each
-connection gets a handler thread that parses the request and — for
-binary jobs — runs VUC extraction (pure Python, so it overlaps other
-threads' engine GEMMs), then blocks on the
+connection gets a handler thread that parses the request into one
+:class:`~repro.vuc.stream.VucStream` — for binary jobs by running VUC
+extraction (pure Python, so it overlaps other threads' engine GEMMs) —
+encodes it, then blocks on the
 :class:`~repro.serve.scheduler.MicroBatchScheduler` for the coalesced
 engine call.
 
 Endpoints:
 
-* ``POST /v1/infer``  — one job (``binary``/``windows``/
-  ``windows_packed``/``demo``, see
-  :mod:`repro.serve.protocol`); 200 with the shared
+* ``POST /v1/infer``  — one job (``binary``/``windows_packed``/
+  ``demo``, see :mod:`repro.serve.protocol`); 200 with the shared
   response schema, 400 on malformed requests, 503 + ``Retry-After`` on
   overload or drain, 504 past the deadline, 422 when the pipeline
   itself rejects the job under ``on_error="raise"``.
@@ -25,8 +25,8 @@ Endpoints:
 * ``POST /v1/session/<id>/close`` — drop the session explicitly.
 * ``POST /v1/reload`` — verify + swap a model bundle; 409 when the
   bundle is rejected (corrupt, schema drift, structural config
-  mismatch) — the old model keeps serving.  Open sessions survive: the
-  scheduler re-encodes their windows under the new engine generation.
+  mismatch) — the old model keeps serving.  Open sessions survive: each
+  re-encodes its stream once under the new engine generation.
 * ``GET /healthz``    — status, ``repro.__version__``, uptime, model
   generation/provenance, queue depth, request-latency quantiles, and
   the session store's occupancy/eviction block.
@@ -67,7 +67,8 @@ from repro.core.errors import (
 )
 from repro.serve import protocol
 from repro.serve.host import ModelHost
-from repro.serve.scheduler import MicroBatchScheduler, encode_request_ids
+from repro.serve.scheduler import MicroBatchScheduler
+from repro.vuc.stream import extract_vuc_stream
 
 #: Request bodies past this size are refused with 413 before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -196,21 +197,15 @@ class _Handler(BaseHTTPRequestHandler):
         if request.get("deadline_ms") is not None:
             deadline_s = float(request["deadline_ms"]) / 1000.0
         failures = FailureReport()
-        windows, variable_ids, binary_name = daemon.prepare_job(
+        stream, binary_name = daemon.prepare_job(
             request, on_error=on_error, failures=failures)
         # Pre-encode on this handler thread (overlapping other requests'
         # engine time); the scheduler re-encodes only if a reload swaps
         # the engine before the batch runs.
-        cati, engine, generation = daemon.model_host.acquire()
-        try:
-            ids = (encode_request_ids(engine.encoder, windows,
-                                      cati.config.vuc_length)
-                   if windows else None)
-        except ValueError as error:  # ragged lengths, malformed packing
-            raise RequestError(str(error), stage="serve") from error
-        pending = daemon.scheduler.submit(windows, variable_ids,
-                                          deadline_s=deadline_s,
-                                          ids=ids, generation=generation)
+        _cati, engine, generation = daemon.model_host.acquire()
+        pending = daemon.scheduler.submit(
+            stream, deadline_s=deadline_s,
+            ids=engine.encoder.encode_stream(stream), generation=generation)
         try:
             predictions = daemon.scheduler.wait(pending, timeout=deadline_s)
         except ServeError:
@@ -347,38 +342,25 @@ class ServeDaemon:
 
     def prepare_job(self, request: dict, *, on_error: str,
                     failures: FailureReport):
-        """Turn a request body into ``(windows, variable_ids, binary_name)``.
+        """Turn a request body into ``(stream, binary_name)``.
 
         Extraction runs here — on the handler thread — so concurrent
         uploads extract in parallel while the scheduler's engine call
         for earlier batches is in flight.
         """
         kind = protocol.job_kind(request)
-        if kind in ("windows", "windows_packed"):
-            if kind == "windows":
-                windows = protocol.windows_from_wire(request["windows"])
-            else:
-                windows = protocol.windows_from_packed(
-                    request["windows_packed"])
-            variable_ids = request.get("variable_ids")
-            if (not isinstance(variable_ids, list)
-                    or len(variable_ids) != len(windows)):
-                raise RequestError(
-                    f"'variable_ids' must be a list aligned with {kind!r}",
-                    stage="serve")
-            return windows, [str(v) for v in variable_ids], None
-        stripped, extents = self._binary_job(request, kind)
-        from repro.vuc.dataset import extract_unlabeled_vucs
-
         config = self.model_host.config
+        if kind == "windows_packed":
+            return protocol.stream_from_packed(
+                request["windows_packed"], request.get("variable_ids"),
+                config.window), None
+        stripped, extents = self._binary_job(request, kind)
         with observability.span("serve.extract"):
-            pairs = extract_unlabeled_vucs(
+            stream = extract_vuc_stream(
                 stripped, extents, config.window,
                 on_error=on_error, failures=failures,
                 metrics=config.metrics_enabled)
-        return ([tokens for _variable_id, tokens in pairs],
-                [variable_id for variable_id, _tokens in pairs],
-                stripped.name)
+        return stream, stripped.name
 
     def _binary_job(self, request: dict, kind: str):
         """The whole-binary job forms → ``(stripped, extents)``."""

@@ -11,8 +11,8 @@ one canonical :class:`InternedTokens` object carrying a dense integer
   array instead of hashing token strings per instruction, so hot
   corpora skip the string memo entirely;
 * the serving path's packed decoder (``"mn\\top1\\top2"`` lines) memoizes
-  raw lines straight to interned triples, producing id tensors without
-  building throwaway tuples;
+  raw lines straight to interned triples, so a request decodes into one
+  token stream without building throwaway tuples;
 * equality and dict/set membership degrade gracefully: an
   ``InternedTokens`` *is* a tuple, so uninterned triples from tests or
   external callers still compare equal and hash identically.

@@ -53,6 +53,17 @@ class VucStream:
     def __len__(self) -> int:
         return len(self.centers)
 
+    def subset(self, rows: Sequence[int]) -> "VucStream":
+        """The windows at ``rows``, sharing this stream's token list.
+
+        Access sites are not carried over.
+        """
+        sub = VucStream(self.window)
+        sub.tokens = self.tokens
+        sub.centers = [self.centers[row] for row in rows]
+        sub.variable_ids = [self.variable_ids[row] for row in rows]
+        return sub
+
     def add_function(self, listing: FunctionListing, indices: Sequence[int],
                      variable_ids: Sequence[str]) -> None:
         """Append one function's windows, centered on instruction ``indices``.

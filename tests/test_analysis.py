@@ -293,6 +293,58 @@ class TestSessionTools:
         client.reload()
         assert handle.annotate_disassembly(function=0)["lines"] == before
 
+    def test_session_reencodes_once_under_a_new_vocabulary(
+            self, analysis_bundle_dir, mini_cati, small_corpus, mini_config,
+            target, tmp_path, monkeypatch):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.core.pipeline import Cati
+        from repro.embedding.encoder import VucEncoder
+        from repro.vuc.stream import extract_vuc_stream
+
+        # Same structural fields (the reload is accepted), another
+        # vocabulary: tokens rarer than 100 map to UNK, so ids encoded
+        # under the first model are stale.
+        other = Cati(dataclasses.replace(mini_config, min_token_count=100)).train(
+            small_corpus.train)
+        other_dir = tmp_path / "other-vocab"
+        other.save(str(other_dir))
+        stripped, extents = target
+        stream = extract_vuc_stream(stripped, extents, mini_config.window)
+        assert not np.array_equal(mini_cati.encoder.encode_stream(stream),
+                                  other.encoder.encode_stream(stream))
+        expected = {p.variable_id: p for p in other.infer_binary(stripped, extents)}
+
+        daemon, thread, client = start_daemon(analysis_bundle_dir, queue_limit=8)
+        try:
+            handle = client.session(binary=stripped, extents=extents)
+            tokens = daemon.sessions.get(handle.id).stream.tokens
+            encodes = []
+            original = VucEncoder.encode_stream
+
+            def counting(encoder, stream):
+                if stream.tokens is tokens:
+                    encodes.append(len(stream))
+                return original(encoder, stream)
+
+            monkeypatch.setattr(VucEncoder, "encode_stream", counting)
+            client.reload(str(other_dir))
+            for variable_id in handle.variables[:2]:
+                served = handle.type_variable(variable_id)["prediction"]
+                assert served == protocol.prediction_to_dict(expected[variable_id])
+            types = {vid: str(p.predicted) for vid, p in expected.items()}
+            for index, func in enumerate(stripped.functions):
+                ids = annotation_variable_ids(func, extents[index],
+                                              f"{stripped.name}/{index}")
+                served = handle.annotate_disassembly(function=index)
+                assert served["lines"] == render_listing(
+                    func, {i: types[vid] for i, vid in ids.items() if vid in types})
+            assert encodes == [handle.info["n_windows"]]
+        finally:
+            stop_daemon(daemon, thread)
+
     def test_windows_job_cannot_open_session(self, daemon, small_corpus):
         _daemon, client = daemon
         samples = list(small_corpus.test)[:3]

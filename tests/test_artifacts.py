@@ -123,7 +123,8 @@ class TestRetiredFields:
     """Manifests written before a CatiConfig field was retired still load."""
 
     OLD_FIELDS = {"n_workers": 4, "job_timeout": 5.0,
-                  "quantize_embeddings": True}
+                  "quantize_embeddings": True, "tool_timeout": 30.0,
+                  "tool_retries": 1}
 
     def test_old_manifest_loads_unchanged(self, bundle_dir, test_windows,
                                           caplog):

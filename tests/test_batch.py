@@ -283,14 +283,15 @@ class TestJobLifecycle:
 
     def test_resume_with_retired_config_fields(self, tmp_path,
                                                mini_bundle_dir):
-        # A job.json written while n_workers / job_timeout /
-        # quantize_embeddings were CatiConfig fields still resumes.
+        # A job.json written while the RETIRED_FIELDS were CatiConfig
+        # fields still resumes.
         job_dir = tmp_path / "job"
         first = run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
         store = BatchJobStore(job_dir)
         body = json.loads(store.job_path.read_text())
         body["config"].update(n_workers=4, job_timeout=5.0,
-                              quantize_embeddings=True)
+                              quantize_embeddings=True, tool_timeout=30.0,
+                              tool_retries=1)
         store.job_path.write_text(json.dumps(body))
         again = resume_job(job_dir)
         assert again["shards_run"] == 0

@@ -436,15 +436,5 @@ class TestCliKnobs:
     def test_infer_flags_parse(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["infer", "--on-error", "skip", "--tool-timeout", "30"])
+        args = build_parser().parse_args(["infer", "--on-error", "skip"])
         assert args.on_error == "skip"
-        assert args.tool_timeout == 30.0
-
-    def test_config_validates_timeouts(self):
-        from repro.core.config import CatiConfig
-
-        with pytest.raises(ValueError):
-            CatiConfig(tool_timeout=0)
-        with pytest.raises(ValueError):
-            CatiConfig(tool_retries=-1)

@@ -88,16 +88,19 @@ class TestPipelineIntegration:
         sample = next(iter(small_corpus.train))
         assert all(isinstance(triple, InternedTokens) for triple in sample.tokens)
 
-    def test_encode_ids_matches_encode_packed_ids(self, mini_cati, small_corpus):
+    def test_encode_ids_matches_packed_stream(self, mini_cati, small_corpus):
         from repro.serve import protocol
 
         windows = [s.tokens for s in small_corpus.test.samples[:50]]
         encoder = mini_cati.encoder
         length = mini_cati.config.vuc_length
         via_tuples = encoder.encode_ids(windows, length=length)
-        packed = protocol.pack_windows(windows)
-        via_packed = encoder.encode_packed_ids(packed, length=length)
-        assert np.array_equal(via_tuples, via_packed)
+        stream = protocol.stream_from_packed(
+            protocol.pack_windows(windows), [f"v{i}" for i in range(len(windows))],
+            mini_cati.config.window)
+        via_stream = encoder.encode_stream(stream)
+        assert via_stream.dtype == via_tuples.dtype
+        assert np.array_equal(via_tuples, via_stream)
 
     def test_unpack_windows_round_trips_interned(self, small_corpus):
         from repro.serve import protocol

@@ -42,6 +42,7 @@ from repro.serve.host import ModelHost
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.serve.server import ServeDaemon
 from repro.vuc.dataset import extract_unlabeled_vucs
+from repro.vuc.stream import VucStream, extract_vuc_stream
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -131,51 +132,51 @@ class TestProtocol:
         rebuilt = protocol.extents_from_wire(protocol.extents_to_wire(extents))
         assert rebuilt == extents
 
-    def test_windows_from_wire_yields_hashable_tuples(self):
-        windows = protocol.windows_from_wire([[["mov", "reg", "mem"]]])
-        assert windows == [(("mov", "reg", "mem"),)]
-        hash(windows[0])  # encoder memoization requires this
-
     def test_packed_windows_round_trip(self):
         windows = [(("mov", "reg", "mem"), ("add", "$IMM", "reg")),
                    (("lea", "mem", "reg"), ("BLANK", "BLANK", "BLANK"))]
         packed = protocol.pack_windows(windows)
         assert all(isinstance(entry, str) for entry in packed)
         assert protocol.unpack_windows(packed) == windows
-        assert protocol.windows_from_packed(packed) is packed
 
     def test_packed_windows_rejects_non_strings(self):
         from repro.core.errors import RequestError
 
-        with pytest.raises(RequestError):
-            protocol.windows_from_packed("not a list")
-        with pytest.raises(RequestError):
-            protocol.windows_from_packed([["mov", "reg", "mem"]])
-        with pytest.raises(RequestError):
-            protocol.windows_from_packed([""])
+        one = "\n".join(["mov\treg\tmem"] * 3)  # one window at w = 1
+        for packed, variable_ids in (
+                ("not a list", ["v"]),
+                ([["mov", "reg", "mem"]], ["v"]),
+                ([""], ["v"]),
+                ([one, "mov\treg\tmem"], ["v", "w"]),  # ragged lengths
+                (["\n".join(["mov\treg\tmem"] * 5)], ["v"]),  # too long
+                (["mov\treg\nadd\treg\tmem\nsub\treg\treg"], ["v"]),  # 2 tokens
+                ([one], None),
+                ([one], ["v", "w"])):
+            with pytest.raises(RequestError):
+                protocol.stream_from_packed(packed, variable_ids, window=1)
 
-    def test_encode_packed_ids_matches_encode_ids(self, mini_cati):
+    def test_packed_stream_encodes_like_encode_ids(self, mini_cati):
         import numpy as np
 
         encoder = mini_cati.engine.encoder
-        windows = [(("mov", "reg", "mem"), ("add", "$IMM", "reg")),
-                   (("mov", "reg", "mem"), ("sub", "reg", "reg"))]
-        plain = encoder.encode_ids(windows)
-        packed = encoder.encode_packed_ids(protocol.pack_windows(windows))
-        np.testing.assert_array_equal(plain, packed)
-        with pytest.raises(ValueError):
-            encoder.encode_packed_ids(["mov\treg"])  # 2 tokens, not 3
-        with pytest.raises(ValueError):
-            encoder.encode_packed_ids(["a\tb\tc\nx\ty\tz", "a\tb\tc"])
+        windows = [(("mov", "reg", "mem"), ("add", "$IMM", "reg"), ("nop", "BLANK", "BLANK")),
+                   (("mov", "reg", "mem"), ("sub", "reg", "reg"), ("mov", "reg", "mem"))]
+        stream = protocol.stream_from_packed(
+            protocol.pack_windows(windows), ["v", "w"], window=1)
+        assert stream.windows() == windows
+        assert stream.variable_ids == ["v", "w"]
+        np.testing.assert_array_equal(encoder.encode_stream(stream),
+                                      encoder.encode_ids(windows))
 
     def test_job_kind_requires_exactly_one(self):
         from repro.core.errors import RequestError
 
-        assert protocol.job_kind({"windows": [], "variable_ids": []}) == "windows"
+        assert protocol.job_kind(
+            {"windows_packed": [], "variable_ids": []}) == "windows_packed"
         with pytest.raises(RequestError):
             protocol.job_kind({})
         with pytest.raises(RequestError):
-            protocol.job_kind({"windows": [], "demo": {}})
+            protocol.job_kind({"windows_packed": [], "demo": {}})
 
     def test_bad_instruction_is_a_request_error(self):
         from repro.core.errors import RequestError
@@ -254,53 +255,47 @@ class TestScheduler:
         return ModelHost(str(serve_bundle_dir))
 
     @pytest.fixture()
-    def windows_job(self, mini_cati, job_binaries):
+    def stream(self, mini_cati, job_binaries):
         stripped, extents = job_binaries[0]
-        pairs = extract_unlabeled_vucs(stripped, extents,
-                                       mini_cati.config.window)
-        return ([tokens for _vid, tokens in pairs],
-                [vid for vid, _tokens in pairs])
+        return extract_vuc_stream(stripped, extents, mini_cati.config.window)
 
     def test_queued_requests_coalesce_into_one_engine_call(
-            self, host, windows_job, mini_cati):
-        windows, variable_ids = windows_job
+            self, host, stream, mini_cati):
         _cati, engine, _gen = host.acquire()
         gate = BlockableEngine(engine)
         scheduler = MicroBatchScheduler(host, queue_limit=32)
         scheduler.start()
         try:
             gate.block()
-            blocker = scheduler.submit(windows[:1], variable_ids[:1])
+            blocker = scheduler.submit(stream.subset([0]))
             assert gate.entered.wait(timeout=10)
             # These all queue while the worker is stuck in the gate...
-            queued = [scheduler.submit(windows, variable_ids)
-                      for _ in range(4)]
+            queued = [scheduler.submit(stream) for _ in range(4)]
             gate.gate.set()
             results = [scheduler.wait(p, timeout=30) for p in queued]
             scheduler.wait(blocker, timeout=30)
             # ...so they ride one coalesced engine call (2 total).
             assert gate.calls == 2
-            expected = prediction_tuples(
-                mini_cati.engine.predict_variables(windows, variable_ids))
+            expected = prediction_tuples(mini_cati.engine.predict_variables(
+                stream.windows(), stream.variable_ids))
             for result in results:
                 assert prediction_tuples(result) == expected
         finally:
             gate.gate.set()
             scheduler.close(timeout=10)
 
-    def test_queue_full_raises_with_retry_hint(self, host, windows_job):
-        windows, variable_ids = windows_job
+    def test_queue_full_raises_with_retry_hint(self, host, stream):
         _cati, engine, _gen = host.acquire()
         gate = BlockableEngine(engine)
         scheduler = MicroBatchScheduler(host, queue_limit=1)
         scheduler.start()
         try:
             gate.block()
-            first = scheduler.submit(windows, variable_ids)
+            first = scheduler.submit(stream)
             assert gate.entered.wait(timeout=10)
-            second = scheduler.submit(windows, variable_ids)  # fills the queue
+            second = scheduler.submit(stream)  # fills the queue
             with pytest.raises(QueueFullError) as excinfo:
-                scheduler.submit(windows, variable_ids)
+                scheduler.submit(stream)
             assert excinfo.value.retry_after_s > 0
             assert excinfo.value.status == 503
             gate.gate.set()
@@ -310,17 +305,16 @@ class TestScheduler:
             gate.gate.set()
             scheduler.close(timeout=10)
 
-    def test_deadline_expires_in_queue(self, host, windows_job):
-        windows, variable_ids = windows_job
+    def test_deadline_expires_in_queue(self, host, stream):
         _cati, engine, _gen = host.acquire()
         gate = BlockableEngine(engine)
         scheduler = MicroBatchScheduler(host, queue_limit=8)
         scheduler.start()
         try:
             gate.block()
-            blocker = scheduler.submit(windows[:1], variable_ids[:1])
+            blocker = scheduler.submit(stream.subset([0]))
             assert gate.entered.wait(timeout=10)
-            doomed = scheduler.submit(windows, variable_ids, deadline_s=0.01)
+            doomed = scheduler.submit(stream, deadline_s=0.01)
             time.sleep(0.1)
             gate.gate.set()
             scheduler.wait(blocker, timeout=30)
@@ -330,23 +324,22 @@ class TestScheduler:
             gate.gate.set()
             scheduler.close(timeout=10)
 
-    def test_close_drains_queued_work_then_rejects(self, host, windows_job,
+    def test_close_drains_queued_work_then_rejects(self, host, stream,
                                                    mini_cati):
-        windows, variable_ids = windows_job
         scheduler = MicroBatchScheduler(host, queue_limit=32)
         scheduler.start()
-        pending = [scheduler.submit(windows, variable_ids) for _ in range(3)]
+        pending = [scheduler.submit(stream) for _ in range(3)]
         scheduler.close(timeout=30)
-        expected = prediction_tuples(
-            mini_cati.engine.predict_variables(windows, variable_ids))
+        expected = prediction_tuples(mini_cati.engine.predict_variables(
+            stream.windows(), stream.variable_ids))
         for p in pending:
             assert prediction_tuples(scheduler.wait(p, timeout=1)) == expected
         with pytest.raises(ServerClosedError):
-            scheduler.submit(windows, variable_ids)
+            scheduler.submit(stream)
 
     def test_empty_request_completes_without_queueing(self, host):
         scheduler = MicroBatchScheduler(host, queue_limit=1)
-        pending = scheduler.submit([], [])
+        pending = scheduler.submit(VucStream())
         assert scheduler.wait(pending, timeout=0.1) == []
         scheduler.close(timeout=5)
 
@@ -423,19 +416,6 @@ class TestHttpServing:
         snapshot = client.metrics()
         assert snapshot["counters"].get("serve.requests", 0) >= 1
 
-    def test_packed_and_verbose_windows_agree(self, daemon, mini_cati,
-                                              job_binaries):
-        _daemon, client = daemon
-        stripped, extents = job_binaries[0]
-        pairs = extract_unlabeled_vucs(stripped, extents,
-                                       mini_cati.config.window)
-        windows = [t for _v, t in pairs]
-        variable_ids = [v for v, _t in pairs]
-        packed = client.infer_windows(windows, variable_ids)
-        verbose = client.infer_windows(windows, variable_ids, packed=False)
-        assert (prediction_tuples(packed["predictions"])
-                == prediction_tuples(verbose["predictions"]))
-
     def test_malformed_packed_windows_get_400(self, daemon):
         _daemon, client = daemon
         with pytest.raises(ServeClientError) as excinfo:
@@ -447,26 +427,74 @@ class TestHttpServing:
                           "variable_ids": ["v"]})
         assert excinfo.value.status == 400
 
+    def test_wrong_length_window_fails_alone(self, serve_bundle_dir,
+                                             job_binaries, offline_results):
+        # A window of 3 instructions queued next to a well-formed request
+        # used to ride its batch and fail the batch's id concatenation,
+        # answering the well-formed request with no predictions.
+        daemon, thread, client = start_daemon(serve_bundle_dir, queue_limit=8)
+        try:
+            _cati, engine, _gen = daemon.model_host.acquire()
+            gate = BlockableEngine(engine)
+            stripped, extents = job_binaries[1]
+            stream = extract_vuc_stream(stripped, extents,
+                                        daemon.model_host.config.window)
+            good = {"windows_packed": protocol.pack_windows(stream.windows()),
+                    "variable_ids": stream.variable_ids}
+            bad = {"windows_packed": ["\n".join(["mov\treg\tmem"] * 3)],
+                   "variable_ids": ["short"]}
+            outcomes: dict = {}
+
+            def post(name: str, body: dict) -> None:
+                try:
+                    outcomes[name] = client.infer(body)
+                except ServeClientError as error:
+                    outcomes[name] = error
+
+            gate.block()
+            threads = [threading.Thread(target=post, args=("blocker", good))]
+            threads[0].start()
+            assert gate.entered.wait(timeout=10)  # the worker holds the blocker
+            for name, body in (("bad", bad), ("good", good)):
+                threads.append(threading.Thread(target=post, args=(name, body)))
+                threads[-1].start()
+                time.sleep(0.2)  # both queue behind the gate, in this order
+            gate.gate.set()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert isinstance(outcomes["bad"], ServeClientError)
+            assert outcomes["bad"].status == 400
+            expected = prediction_tuples(offline_results[1])
+            for name in ("blocker", "good"):
+                assert prediction_tuples(outcomes[name]["predictions"]) == expected
+        finally:
+            gate.gate.set()
+            stop_daemon(daemon, thread)
+
     def test_path_job_is_rejected(self, daemon, job_binaries, tmp_path):
         # The server never reads a file a client names: a "path" body is
-        # an unknown job kind on both endpoints that take a job.
+        # an unknown job kind on both endpoints that take a job, and so
+        # is the retired verbose "windows" form.
         _daemon, client = daemon
         stripped, extents = job_binaries[2]
         job_file = tmp_path / "job.json"
         job_file.write_text(json.dumps({
             "binary": protocol.binary_to_wire(stripped),
             "extents": protocol.extents_to_wire(extents)}))
-        for send in (client.infer, client.open_session):
-            with pytest.raises(ServeClientError) as excinfo:
-                send({"path": str(job_file)})
-            assert excinfo.value.status == 400
-            for kind in protocol.JOB_KINDS:
-                assert repr(kind) in str(excinfo.value)
+        for body in ({"path": str(job_file)},
+                     {"windows": [[["mov", "reg", "mem"]]], "variable_ids": ["v"]}):
+            for send in (client.infer, client.open_session):
+                with pytest.raises(ServeClientError) as excinfo:
+                    send(body)
+                assert excinfo.value.status == 400
+                for kind in protocol.JOB_KINDS:
+                    assert repr(kind) in str(excinfo.value)
 
     def test_malformed_requests_get_400(self, daemon):
         _daemon, client = daemon
         with pytest.raises(ServeClientError) as excinfo:
-            client.infer({"windows": [[["a", "b", "c"]]]})  # no variable_ids
+            client.infer({"windows_packed": ["a\tb\tc"]})  # no variable_ids
         assert excinfo.value.status == 400
         with pytest.raises(ServeClientError) as excinfo:
             client.infer({})
@@ -481,8 +509,9 @@ class TestHttpServing:
             _cati, engine, _gen = daemon.model_host.acquire()
             gate = BlockableEngine(engine)
             gate.block()
-            windows = [[["mov", "reg", "mem"]] * 3]
-            job = {"windows": windows, "variable_ids": ["v0"]}
+            length = daemon.model_host.config.vuc_length
+            job = {"windows_packed": ["\n".join(["mov\treg\tmem"] * length)],
+                   "variable_ids": ["v0"]}
             outcomes: list = []
 
             def post() -> None:
