@@ -101,7 +101,7 @@ def main() -> None:
 
     gen = _struct_heavy_config()
     config = CatiConfig(
-        epochs=15, fc_width=128, posterior_enabled=True,
+        epochs=15, fc_width=128,
         word2vec=Word2VecConfig(dim=32, window=5, epochs=3,
                                 subsample_pairs=0.4))
     cati = _train(train_seeds, gen, config)

@@ -22,7 +22,7 @@ import threading
 
 from repro.analysis.render import render_epsilons
 from repro.codegen import GccCompiler, strip
-from repro.core import Cati, CatiConfig
+from repro.core import Cati, CatiConfig, occlusion_epsilons_many
 from repro.core.types import ALL_TYPES
 from repro.datasets import build_small_corpus
 from repro.experiments.speed import extents_from_debug
@@ -66,7 +66,7 @@ def explain_offline(cati: Cati, stripped, extents) -> tuple[str, str, float, lis
     pairs = extract_unlabeled_vucs(stripped, extents, cati.config.window)
     variable_id = sorted({vid for vid, _tokens in pairs})[0]
     window = next(tokens for vid, tokens in pairs if vid == variable_id)
-    batched = cati.engine.occlusion_epsilons_many([window])
+    batched = occlusion_epsilons_many(cati, [window])
     predicted = str(ALL_TYPES[int(batched.predicted_indices[0])])
     base = float(batched.base_confidences[0])
     return variable_id, predicted, base, render_epsilons(window, batched.epsilons[0])

@@ -16,8 +16,8 @@ Checks:
    guide drifting out of the doc graph.
 4. The posterior struct-recovery stage stays documented:
    docs/ARCHITECTURE.md has a ``repro.posterior`` section, and its
-   knobs (``posterior_enabled``, ``posterior_min_accesses``) plus the
-   ``--structs`` surfaces are named in docs/OPERATIONS.md.
+   knob (``posterior_min_accesses``) plus the ``--structs`` surfaces
+   are named in docs/OPERATIONS.md.
 5. Interactive sessions stay documented: docs/OPERATIONS.md has an
    "Interactive sessions" section naming every session tool and the
    ``repro repl`` / ``--repl`` surfaces, docs/ARCHITECTURE.md
@@ -121,7 +121,7 @@ def check_deployment_md(problems: list[str]) -> None:
             problems.append(f"{rel} does not link to docs/DEPLOYMENT.md")
 
 
-POSTERIOR_KNOBS = ("posterior_enabled", "posterior_min_accesses")
+POSTERIOR_KNOBS = ("posterior_min_accesses",)
 
 
 def check_posterior_docs(problems: list[str]) -> None:

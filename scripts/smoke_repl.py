@@ -37,6 +37,7 @@ from repro.analysis.render import (annotation_variable_ids,  # noqa: E402
 from repro.codegen.compilers import GccCompiler  # noqa: E402
 from repro.codegen.strip import strip  # noqa: E402
 from repro.core.config import CatiConfig  # noqa: E402
+from repro.core.occlusion import occlusion_epsilons_many  # noqa: E402
 from repro.core.pipeline import Cati  # noqa: E402
 from repro.datasets.corpus import build_small_corpus  # noqa: E402
 from repro.embedding.word2vec import Word2VecConfig  # noqa: E402
@@ -87,7 +88,7 @@ def offline_expectations(cati: Cati):
     pairs = extract_unlabeled_vucs(stripped, extents, cati.config.window)
     probe = sorted({vid for vid, _tokens in pairs})[0]
     window = next(tokens for vid, tokens in pairs if vid == probe)
-    batched = cati.engine.occlusion_epsilons_many([window])
+    batched = occlusion_epsilons_many(cati, [window])
     explain_lines = render_epsilons(window, batched.epsilons[0])
 
     layouts = {

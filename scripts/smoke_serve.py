@@ -9,8 +9,8 @@ launched as real ``python -m repro serve`` subprocesses:
 
 1. ``GET /healthz`` — version, model generation, queue snapshot (and,
    multi-worker, per-worker liveness);
-2. a packed ``windows`` job — predictions must match the offline
-   engine on the same windows;
+2. a packed ``windows`` job — predictions must match offline
+   ``Cati.infer_binary`` on the binary the windows come from;
 3. ``POST /v1/reload`` — generation bumps without dropping traffic
    (multi-worker: the generation fence rolls every worker);
 4. SIGTERM — the daemon drains and exits 0.
@@ -141,7 +141,7 @@ def main() -> None:
     pairs = extract_unlabeled_vucs(stripped, extents, config.window)
     windows = [tokens for _variable_id, tokens in pairs]
     variable_ids = [variable_id for variable_id, _tokens in pairs]
-    offline = cati.engine.predict_variables(windows, variable_ids)
+    offline = cati.infer_binary(stripped, extents)
     expected = [(p.variable_id, str(p.predicted), p.n_vucs) for p in offline]
 
     with tempfile.TemporaryDirectory(prefix="smoke-serve-") as scratch:

@@ -71,8 +71,7 @@ class AnalysisSession:
         self.created_at = time.time()
         self.nbytes = self._estimate_nbytes()
         self._lock = threading.Lock()
-        self._probs = None
-        self._predictions: list | None = None
+        self._analysis = None
         self._scored_generation: int | None = None
 
     def _estimate_nbytes(self) -> int:
@@ -129,7 +128,7 @@ class AnalysisSession:
     # -- scoring ---------------------------------------------------------------------
 
     def encoded(self, model_host):
-        """``(ids, generation)`` under the serving model's generation.
+        """``(ids, engine, generation)``: the stream's ids under the serving engine.
 
         Re-encodes the stream once when a reload moved the generation;
         concurrent calls wait on the session lock instead of encoding
@@ -140,29 +139,28 @@ class AnalysisSession:
             if self.ids_generation != generation:
                 self.ids = engine.encoder.encode_stream(self.stream)
                 self.ids_generation = generation
-            return self.ids, self.ids_generation
+                self._analysis = None  # scored by the replaced engine
+            return self.ids, engine, generation
 
     def ensure_scored(self, daemon):
-        """The session's full (probs, predictions), computed once per generation.
+        """The whole stream's :class:`~repro.core.engine.Analysis`, once per generation.
 
         Goes through the daemon's micro-batch scheduler (so concurrent
-        sessions coalesce); the cache is invalidated when the engine
-        generation moves.
+        sessions coalesce), whose wait votes on this thread; the cache
+        is invalidated when the engine generation moves.
         """
-        ids, generation = self.encoded(daemon.model_host)
+        ids, _engine, generation = self.encoded(daemon.model_host)
         with self._lock:
-            if self._probs is not None and self._scored_generation == generation:
-                return self._probs, self._predictions
+            if self._analysis is not None and self._scored_generation == generation:
+                return self._analysis
         pending = daemon.scheduler.submit(
             self.stream, deadline_s=daemon.default_deadline_s,
             ids=ids, generation=generation)
-        predictions = daemon.scheduler.wait(
-            pending, timeout=daemon.default_deadline_s)
+        daemon.scheduler.wait(pending, timeout=daemon.default_deadline_s)
         with self._lock:
-            self._probs = pending.probs
-            self._predictions = predictions
+            self._analysis = pending.analysis
             self._scored_generation = generation
-        return self._probs, self._predictions
+        return pending.analysis
 
 
 def build_session(session_id: str, stripped: Binary,

@@ -67,7 +67,7 @@ def _tool_type_variable(daemon, session: AnalysisSession, args: dict) -> dict:
     if not isinstance(variable_id, str):
         raise RequestError("'variable_id' must be a string", stage="serve")
     rows = session.variable_rows(variable_id)
-    ids, generation = session.encoded(daemon.model_host)
+    ids, _engine, generation = session.encoded(daemon.model_host)
     # One variable's windows through the scheduler: the small-batch path
     # the interactive latency benchmark measures.  A per-variable slice
     # votes identically to the full-binary matrix (eq. 3-4 sums per
@@ -100,8 +100,8 @@ def _tool_explain(daemon, session: AnalysisSession, args: dict) -> dict:
             f"variable {variable_id!r} has {len(rows)} VUCs; "
             f"'vuc' {vuc} is out of range", stage="serve")
     window = session.stream.subset([rows[vuc]]).windows()[0]
-    _cati, engine, _generation = daemon.model_host.acquire()
-    batched = engine.occlusion_epsilons_many([window])
+    ids, engine, _generation = session.encoded(daemon.model_host)
+    batched = engine.occlusion_epsilons_many(ids[[rows[vuc]]])
     epsilons = batched.epsilons[0]
     return {
         "variable_id": variable_id,
@@ -117,7 +117,7 @@ def _tool_explain(daemon, session: AnalysisSession, args: dict) -> dict:
 def _tool_annotate_disassembly(daemon, session: AnalysisSession,
                                args: dict) -> dict:
     index, func = session.function_by_ref(args.get("function", 0))
-    _probs, predictions = session.ensure_scored(daemon)
+    predictions = session.ensure_scored(daemon).predictions
     types_by_id = {p.variable_id: str(p.predicted) for p in predictions}
     annotation = {ins_index: types_by_id[variable_id]
                   for ins_index, variable_id in session.annotations[index].items()
@@ -137,15 +137,9 @@ def _tool_annotate_disassembly(daemon, session: AnalysisSession,
 
 
 def _tool_struct_layouts(daemon, session: AnalysisSession, args: dict) -> dict:
-    from repro.posterior.layouts import recover_layouts
     from repro.serve import protocol
 
-    probs, predictions = session.ensure_scored(daemon)
-    config = daemon.model_host.config
-    layouts = recover_layouts(
-        predictions, probs, session.stream.variable_ids, session.stream.sites,
-        threshold=config.confidence_threshold,
-        min_accesses=config.posterior_min_accesses)
+    layouts = session.ensure_scored(daemon).layouts
     return {
         "binary": session.binary.name,
         "n_layouts": len(layouts),

@@ -215,7 +215,7 @@ def _run_shard(
             continue
         result = cati.engine.infer_binary(
             stripped, extents, on_error=on_error, failures=report,
-            structs=True if structs else None)
+            structs=structs)
         predictions.append(_serialize_predictions(result))
         layouts.append(_serialize_layouts(result))
     return predictions, layouts, report

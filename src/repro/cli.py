@@ -124,10 +124,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             base = "rbp" if record.frame_offset < 0 else "rsp"
             truth[f"cli-demo/{func_index}::{base}{record.frame_offset:+d}"] = record.type_label
     failures = FailureReport()
-    structs = True if getattr(args, "structs", False) else None
     predictions = cati.infer_binary(strip(binary), extents_from_debug(binary),
                                     on_error=args.on_error, failures=failures,
-                                    structs=structs)
+                                    structs=args.structs)
     if getattr(args, "json", False):
         import repro
         from repro.serve.protocol import build_infer_response

@@ -19,7 +19,7 @@ logger = logging.getLogger(__name__)
 #: that no longer exist.  :meth:`CatiConfig.from_dict` drops them (with
 #: one logged note) so artifacts written before their removal still load.
 RETIRED_FIELDS = ("n_workers", "job_timeout", "quantize_embeddings",
-                  "tool_timeout", "tool_retries")
+                  "tool_timeout", "tool_retries", "posterior_enabled")
 
 
 @dataclass
@@ -45,7 +45,6 @@ class CatiConfig:
     serve_max_batch: int = 4096        # serve: max VUC windows coalesced per engine call
     serve_max_delay_ms: float = 5.0    # serve: max wait to coalesce concurrent requests
     serve_workers: int = 0             # serve: worker processes (0 = auto min(cores, 4); 1 = in-process daemon)
-    posterior_enabled: bool = False    # posterior: recover struct layouts after per-variable voting
     posterior_min_accesses: int = 2    # posterior: min pooled accesses to keep a field offset
     session_ttl_s: float = 600.0       # analysis: idle seconds before an interactive session expires
     session_max_bytes: int = 256 * 1024 * 1024  # analysis: session-store byte budget (LRU past it)

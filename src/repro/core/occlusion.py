@@ -57,7 +57,9 @@ def occlusion_epsilons_many(
     windows: list[tuple[Tokens, ...]],
 ) -> "BatchedOcclusion":
     """Engine-path eq. (5) for a whole batch of windows at once."""
-    return cati.engine.occlusion_epsilons_many(windows)
+    engine = cati.engine
+    return engine.occlusion_epsilons_many(
+        engine.encoder.encode_ids(windows, length=cati.config.vuc_length))
 
 
 def epsilon_distribution(

@@ -58,7 +58,7 @@ def predictions_from_probs(
 ) -> list[VariablePrediction]:
     """Vote per variable over a flat [N, 19] leaf confidence matrix (eqs. 3-4).
 
-    Shared by the naive path and the inference engine so both produce
+    Shared by the naive path and the engine's ``Analysis`` so both produce
     identical grouping order and identical summation order.  ``winner``
     is the argmax of the summed clipped scores, which is exactly
     eq. (4)'s :func:`~repro.core.voting.vote` over the same matrix.
@@ -197,7 +197,7 @@ class Cati:
         extents_by_function: list[list[VariableExtent]],
         on_error: str = "raise",
         failures: "FailureReport | None" = None,
-        structs: bool | None = None,
+        structs: bool = False,
     ) -> "InferenceResult":
         """Full pipeline on a stripped binary with given variable locations.
 
@@ -212,9 +212,9 @@ class Cati:
         ``failures`` report of everything skipped, plus a ``metrics``
         snapshot when ``CatiConfig.metrics_enabled``.
 
-        ``structs`` (default :attr:`CatiConfig.posterior_enabled`) also
-        runs the posterior struct-recovery stage and attaches recovered
-        layouts to the result (see :mod:`repro.posterior`).
+        ``structs=True`` also runs the posterior struct-recovery stage
+        and attaches recovered layouts to the result (see
+        :mod:`repro.posterior`).
         """
         self._require_trained()
         return self.engine.infer_binary(

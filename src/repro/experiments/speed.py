@@ -1,19 +1,20 @@
 """§VII speed: per-binary extraction + prediction wall-clock
 (paper: ~6 seconds per typical binary on their hardware).
 
-Prediction runs on the batched, dedup-aware inference engine — the same
-path ``Cati.infer_binary`` deploys — so the numbers here reflect what a
-user of the pipeline actually pays.  Throughput is reported as VUCs/s
-per stage alongside the per-binary averages.
+Each binary goes through ``Cati.infer_binary``, the deployed path, and
+the two stages are read off its own spans: ``infer_binary/extract`` for
+extraction, and ``infer_binary/encode`` + ``classify`` + ``vote`` for
+prediction.  Throughput is reported as VUCs/s per stage alongside the
+per-binary averages.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.codegen.binary import debug_variables
 from repro.codegen.strip import strip
+from repro.core import observability
 from repro.experiments.common import ExperimentContext
 from repro.vuc.dataflow import VariableExtent
 
@@ -59,30 +60,25 @@ def extents_from_debug(binary) -> list[list[VariableExtent]]:
 
 
 def run(context: ExperimentContext, n_binaries: int = 8) -> SpeedResult:
+    cati = context.cati
+    if not (cati.config.metrics_enabled and observability.is_enabled()):
+        raise RuntimeError("speed.run reads infer_binary's spans; enable metrics")
     binaries = context.corpus.test_binaries[:n_binaries]
-    extract_time = 0.0
-    predict_time = 0.0
-    n_variables = 0
-    n_vucs = 0
-    from repro.vuc.dataset import extract_unlabeled_vucs
-
-    engine = context.cati.engine
+    n_variables = n_vucs = 0
+    before = observability.snapshot()["spans"]
     for binary in binaries:
-        extents = extents_from_debug(binary)
-        stripped = strip(binary)
-        t0 = time.perf_counter()
-        pairs = extract_unlabeled_vucs(stripped, extents, context.config.window)
-        extract_time += time.perf_counter() - t0
-        if not pairs:
-            continue
-        n_vucs += len(pairs)
-        t0 = time.perf_counter()
-        predictions = engine.predict_variables(
-            [tokens for _vid, tokens in pairs],
-            [vid for vid, _tokens in pairs],
-        )
-        predict_time += time.perf_counter() - t0
+        predictions = cati.infer_binary(strip(binary), extents_from_debug(binary))
         n_variables += len(predictions)
+        n_vucs += sum(p.n_vucs for p in predictions)
+    after = observability.snapshot()["spans"]
+
+    def seconds(*phases: str) -> float:
+        return sum(after.get(f"infer_binary/{phase}", {}).get("wall_s", 0.0)
+                   - before.get(f"infer_binary/{phase}", {}).get("wall_s", 0.0)
+                   for phase in phases)
+
+    extract_time = seconds("extract")
+    predict_time = seconds("encode", "classify", "vote")
     return SpeedResult(
         per_binary_extract_s=extract_time / max(len(binaries), 1),
         per_binary_predict_s=predict_time / max(len(binaries), 1),

@@ -21,19 +21,15 @@ from repro.codegen.compilers import GccCompiler
 from repro.codegen.progen import DEFAULT_TYPE_WEIGHTS, GeneratorConfig
 from repro.codegen.strip import strip
 from repro.core.config import CatiConfig
-from repro.core.pipeline import Cati, predictions_from_probs
+from repro.core.pipeline import Cati
 from repro.core.types import TypeName
 from repro.embedding.word2vec import Word2VecConfig
 from repro.eval.metrics import FieldReport, evaluate_layouts
 from repro.eval.reports import render_field_report
 from repro.experiments.speed import extents_from_debug
-from repro.posterior import (
-    flat_baseline_layouts,
-    layouts_to_fields,
-    recover_layouts,
-    truth_layouts,
-)
-from repro.vuc.dataset import VucDataset, extract_labeled_vucs, extract_unlabeled_vucs
+from repro.posterior import flat_baseline_layouts, layouts_to_fields, truth_layouts
+from repro.vuc.dataset import VucDataset, extract_labeled_vucs
+from repro.vuc.stream import extract_vuc_stream
 
 
 @dataclass
@@ -69,7 +65,7 @@ def struct_heavy_config() -> GeneratorConfig:
 def run(n_train: int = 8, n_eval: int = 3, epochs: int = 15) -> StructsResult:
     gen = struct_heavy_config()
     config = CatiConfig(
-        epochs=epochs, fc_width=128, posterior_enabled=True,
+        epochs=epochs, fc_width=128,
         word2vec=Word2VecConfig(dim=32, window=5, epochs=3,
                                 subsample_pairs=0.4))
     compiler = GccCompiler()
@@ -89,21 +85,13 @@ def run(n_train: int = 8, n_eval: int = 3, epochs: int = 15) -> StructsResult:
         binary = compiler.compile_fresh(seed=seed, name=f"eval-{seed}",
                                         opt_level=0, config=gen)
         stripped = strip(binary)
-        sites: list = []
-        pairs = extract_unlabeled_vucs(stripped, extents_from_debug(binary),
-                                       config.window, sites=sites)
-        windows = [tokens for _vid, tokens in pairs]
-        variable_ids = [vid for vid, _tokens in pairs]
-        probs = cati.engine.leaf_proba(windows)
-        predictions = predictions_from_probs(
-            probs, variable_ids, config.confidence_threshold)
-        pooled.update(layouts_to_fields(recover_layouts(
-            predictions, probs, variable_ids, sites,
-            threshold=config.confidence_threshold,
-            min_accesses=config.posterior_min_accesses)))
+        stream = extract_vuc_stream(stripped, extents_from_debug(binary),
+                                    config.window, sites=True)
+        analysis = cati.engine.score([stream])[0]
+        pooled.update(layouts_to_fields(analysis.layouts))
         flat.update(layouts_to_fields(flat_baseline_layouts(
-            predictions, probs, variable_ids, sites,
-            threshold=config.confidence_threshold)))
+            analysis.predictions, analysis.probs, stream.variable_ids,
+            stream.sites, threshold=config.confidence_threshold)))
         truth.update(truth_layouts(binary, scope_name=stripped.name))
 
     return StructsResult(

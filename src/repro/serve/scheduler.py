@@ -6,12 +6,12 @@ scheduler closes that gap: handler threads :meth:`submit` one
 :class:`~repro.vuc.stream.VucStream` each (with its id tensor, when
 they already encoded it) and block; a single worker thread collects
 everything that arrives within ``CatiConfig.serve_max_delay_ms`` (up to
-``serve_max_batch`` windows), re-encodes through
-:meth:`~repro.embedding.encoder.VucEncoder.encode_stream` any request
-whose ids predate a reload, concatenates the id tensors, runs **one**
-:meth:`~repro.core.engine.InferenceEngine.leaf_proba_ids` call, and
-votes each request's slice separately — so grouping and summation order
-per request are exactly the offline ``Cati.infer_binary`` path's.
+``serve_max_batch`` windows) and scores them in **one**
+:meth:`~repro.core.engine.InferenceEngine.score` call, which re-encodes
+any request whose ids predate a reload.  Each request gets its own
+:class:`~repro.core.engine.Analysis` and votes its own rows, so grouping
+and summation order per request are exactly the offline
+``Cati.infer_binary`` path's.
 
 Admission control lives at :meth:`submit`: a bounded queue (by pending
 *requests*) raises :class:`~repro.core.errors.QueueFullError` carrying a
@@ -56,14 +56,14 @@ _DEFAULT_RETRY_AFTER_S = 1.0
 class PendingRequest:
     """One submitted inference job: inputs, completion event, outcome.
 
-    The worker hands back the request's leaf-probability slice plus the
-    vote parameters it ran under (``vote_args``); the *waiting* thread
-    then computes the per-variable vote, so the single batch worker
-    never serializes per-request voting between engine calls.
+    The worker hands back the request's
+    :class:`~repro.core.engine.Analysis`; the *waiting* thread then
+    reads its ``predictions``, so the single batch worker never
+    serializes per-request voting between engine calls.
     """
 
-    __slots__ = ("stream", "ids", "generation", "deadline", "event", "probs",
-                 "vote_args", "predictions", "error", "submitted_at")
+    __slots__ = ("stream", "ids", "generation", "deadline", "event", "analysis",
+                 "error", "submitted_at")
 
     def __init__(self, stream, deadline: float | None, ids=None,
                  generation: int | None = None) -> None:
@@ -76,35 +76,17 @@ class PendingRequest:
         #: Absolute ``time.monotonic()`` deadline, or None.
         self.deadline = deadline
         self.event = threading.Event()
-        self.probs = None
-        self.vote_args: tuple | None = None
-        self.predictions: list | None = None
+        self.analysis = None
         self.error: BaseException | None = None
         self.submitted_at = time.monotonic()
 
-    def finish(self, probs, vote_args: tuple) -> None:
-        self.probs = probs
-        self.vote_args = vote_args
-        self.event.set()
-
-    def finish_empty(self) -> None:
-        self.predictions = []
+    def finish(self, analysis) -> None:
+        self.analysis = analysis
         self.event.set()
 
     def fail(self, error: BaseException) -> None:
         self.error = error
         self.event.set()
-
-    def resolve(self) -> list:
-        """The vote, computed lazily on the waiting thread."""
-        if self.predictions is None:
-            from repro.core.pipeline import predictions_from_probs
-
-            threshold, metrics, vote_detail = self.vote_args
-            self.predictions = predictions_from_probs(
-                self.probs, self.stream.variable_ids, threshold,
-                metrics=metrics, vote_detail=vote_detail)
-        return self.predictions
 
 
 class MicroBatchScheduler:
@@ -160,7 +142,8 @@ class MicroBatchScheduler:
         pending = PendingRequest(stream, deadline, ids=ids,
                                  generation=generation)
         if not len(stream):
-            pending.finish_empty()
+            _cati, engine, _generation = self.host.acquire()
+            pending.finish(engine.score([stream])[0])
             return pending
         with self._lock:
             if self._closed:
@@ -202,7 +185,7 @@ class MicroBatchScheduler:
                 f"no result within {timeout}s", stage="serve")
         if pending.error is not None:
             raise pending.error
-        return pending.resolve()
+        return pending.analysis.predictions
 
     # -- the worker ---------------------------------------------------------------
 
@@ -252,8 +235,6 @@ class MicroBatchScheduler:
         return batch
 
     def _run_batch(self, batch: list[PendingRequest]) -> None:
-        import numpy as np
-
         now = time.monotonic()
         live: list[PendingRequest] = []
         for request in batch:
@@ -267,27 +248,18 @@ class MicroBatchScheduler:
             return
         try:
             cati, engine, generation = self.host.acquire()
-            config = cati.config
-            metrics = config.metrics_enabled and observability.is_enabled()
-            vote_args = (config.confidence_threshold, metrics,
-                         config.metrics_vote_detail)
             total = sum(len(r.stream) for r in live)
             started = time.monotonic()
             with observability.span("serve.batch"):
                 # Submitter-encoded ids are reused only when no reload
-                # happened since; otherwise re-encode with the engine
-                # that actually runs the batch.
-                ids = np.concatenate([
-                    r.ids if r.ids is not None and r.generation == generation
-                    else engine.encoder.encode_stream(r.stream)
-                    for r in live])
-                probs = engine.leaf_proba_ids(ids)
-                offset = 0
-                for request in live:
-                    span = probs[offset:offset + len(request.stream)]
-                    offset += len(request.stream)
-                    request.finish(span, vote_args)
-            if metrics:
+                # happened since; otherwise the engine that actually runs
+                # the batch re-encodes.
+                analyses = engine.score(
+                    [r.stream for r in live],
+                    [r.ids if r.generation == generation else None for r in live])
+                for request, analysis in zip(live, analyses):
+                    request.finish(analysis)
+            if cati.config.metrics_enabled and observability.is_enabled():
                 registry = observability.get_registry()
                 registry.inc("serve.batches")
                 registry.inc("serve.coalesced_requests", len(live))

@@ -31,6 +31,7 @@ from repro.analysis.render import (annotation_variable_ids, render_epsilons,
 from repro.codegen.compilers import GccCompiler
 from repro.codegen.strip import strip
 from repro.core.errors import SessionGoneError
+from repro.core.occlusion import occlusion_epsilons_many
 from repro.experiments.speed import extents_from_debug
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError
@@ -232,7 +233,7 @@ class TestSessionTools:
                                        mini_cati.config.window)
         variable_id = handle.variables[0]
         window = next(tokens for vid, tokens in pairs if vid == variable_id)
-        batched = mini_cati.engine.occlusion_epsilons_many([window])
+        batched = occlusion_epsilons_many(mini_cati, [window])
         served = handle.explain(variable_id, vuc=0)
         assert served["lines"] == render_epsilons(window, batched.epsilons[0])
         assert served["epsilons"] == [float(e) for e in batched.epsilons[0]]

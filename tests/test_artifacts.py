@@ -124,7 +124,7 @@ class TestRetiredFields:
 
     OLD_FIELDS = {"n_workers": 4, "job_timeout": 5.0,
                   "quantize_embeddings": True, "tool_timeout": 30.0,
-                  "tool_retries": 1}
+                  "tool_retries": 1, "posterior_enabled": True}
 
     def test_old_manifest_loads_unchanged(self, bundle_dir, test_windows,
                                           caplog):

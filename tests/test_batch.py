@@ -291,7 +291,7 @@ class TestJobLifecycle:
         body = json.loads(store.job_path.read_text())
         body["config"].update(n_workers=4, job_timeout=5.0,
                               quantize_embeddings=True, tool_timeout=30.0,
-                              tool_retries=1)
+                              tool_retries=1, posterior_enabled=True)
         store.job_path.write_text(json.dumps(body))
         again = resume_job(job_dir)
         assert again["shards_run"] == 0

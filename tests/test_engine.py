@@ -23,7 +23,9 @@ from repro.core.occlusion import (
     occlusion_epsilons,
     occlusion_epsilons_many,
 )
+from repro.serve.protocol import pack_windows, stream_from_packed
 from repro.vuc.generalize import BLANK_TOKENS
+from repro.vuc.stream import VucStream
 
 TOL = 1e-6
 
@@ -124,7 +126,10 @@ class TestLeafProbaEquivalence:
         fast = mini_cati.engine.leaf_proba_ids(empty_ids)
         assert fast.shape == (0, 19)
         assert mini_cati.engine.leaf_proba([]).shape == (0, 19)
-        assert mini_cati.engine.predict_variables([], []) == []
+        assert mini_cati.engine.score([]) == []
+        (empty,) = mini_cati.engine.score([VucStream(mini_cati.config.window)])
+        assert empty.probs.shape == (0, 19)
+        assert empty.predictions == [] and empty.layouts == []
         # The naive reference agrees on the empty batch too.
         naive = mini_cati.predict_vuc_proba([])
         assert naive.shape == fast.shape and np.array_equal(naive, fast)
@@ -153,19 +158,29 @@ class TestLeafProbaEquivalence:
         assert np.abs(engine.leaf_proba(test_windows[:10]) - before).max() <= TOL
 
 
+def stream_of(windows, variable_ids, window: int) -> VucStream:
+    """Whole windows laid end to end as one stream, as the wire decodes them."""
+    return stream_from_packed(pack_windows(windows), list(variable_ids), window)
+
+
 class TestVoteEquivalence:
     def test_predictions_match_naive(self, mini_cati, test_windows, test_variable_ids):
         naive = mini_cati.predict_variables(test_windows, test_variable_ids)
-        fast = mini_cati.engine.predict_variables(test_windows, test_variable_ids)
+        stream = stream_of(test_windows, test_variable_ids, mini_cati.config.window)
+        fast = mini_cati.engine.score([stream])[0].predictions
         assert [p.variable_id for p in fast] == [p.variable_id for p in naive]
         assert [p.predicted for p in fast] == [p.predicted for p in naive]
         assert [p.n_vucs for p in fast] == [p.n_vucs for p in naive]
         for a, b in zip(fast, naive):
             assert np.abs(a.scores - b.scores).max() <= TOL
 
-    def test_misaligned_inputs_raise(self, mini_cati, test_windows):
+    def test_misaligned_inputs_raise(self, mini_cati, test_windows, test_variable_ids):
+        stream = stream_of(test_windows, test_variable_ids, mini_cati.config.window)
+        ids = mini_cati.encoder.encode_stream(stream)
         with pytest.raises(ValueError):
-            mini_cati.engine.predict_variables(test_windows, [])
+            mini_cati.engine.score([stream], [ids[:-1]])
+        with pytest.raises(ValueError):
+            mini_cati.engine.score([stream, stream], [ids])
 
 
 class TestOcclusionEquivalence:
@@ -192,7 +207,8 @@ class TestOcclusionEquivalence:
         sub = test_windows[:8]
         reference = occlusion_epsilons_many(mini_cati, sub).epsilons
         tiny = fresh_engine(mini_cati, max_batch=5)  # forces group size 1
-        assert np.abs(tiny.occlusion_epsilons_many(sub).epsilons - reference).max() <= TOL
+        ids = tiny.encoder.encode_ids(sub)
+        assert np.abs(tiny.occlusion_epsilons_many(ids).epsilons - reference).max() <= TOL
 
     def test_epsilon_distribution_paths_agree(self, mini_cati, test_windows):
         """Both heat-map paths agree except where an ε sits within the
@@ -212,7 +228,7 @@ class TestOcclusionEquivalence:
         assert (np.abs(fast - slow).max(axis=1) <= allowance + 1e-12).all()
 
     def test_empty_input(self, mini_cati):
-        batched = mini_cati.engine.occlusion_epsilons_many([])
+        batched = occlusion_epsilons_many(mini_cati, [])
         assert batched.epsilons.shape == (0, 21)
 
 

@@ -2,26 +2,36 @@
 
 A small seeded corpus of well-formed binaries (-O0 to -O2) runs through
 offline ``Cati.infer_binary(structs=True)``, the reference, and through
-each other entry point: the daemon's ``binary`` and ``windows_packed``
-jobs, an analysis session (``type_variable`` for every variable, then
-``struct_layouts``) and ``batch.run_job(structs=True)``.  Every entry
-point is reduced to one canonical form and compared with the reference:
-variable id, type and VUC count exactly, vote scores to 1e-6 (a request
-coalesced into another batch composition may move leaf probabilities at
-the ~1e-8 level), struct layouts where the entry point recovers them,
-and failures as (stage, kind, function).
+each other entry point: the daemon's ``binary``, ``windows_packed`` and
+``demo`` jobs, an analysis session (``type_variable`` for every
+variable, then ``struct_layouts``), ``repro infer --json --structs``,
+a two-worker router serving ``binary`` jobs and a session walk (sticky
+routing), and ``batch.run_job(structs=True)``.  Every entry point is
+reduced to one canonical form and compared with the reference: variable
+id, type and VUC count exactly, vote scores to 1e-6 (a request coalesced
+into another batch composition may move leaf probabilities at the ~1e-8
+level), struct layouts where the entry point recovers them, and
+failures as (stage, kind, function).
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
+import json
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from repro.batch import JobSpec, run_job
 from repro.batch.spec import ManifestItem
+from repro.cli import main as cli_main
 from repro.serve import protocol
-from repro.serve.client import SessionHandle
+from repro.serve.client import ServeClient, SessionHandle
+from repro.serve.router import RouterDaemon
 from repro.vuc.stream import extract_vuc_stream
 from tests.test_serve import start_daemon, stop_daemon
 
@@ -71,16 +81,29 @@ def jobs():
     return {item.name: item.load() for item in CORPUS}
 
 
+def offline(cati, stripped, extents) -> dict:
+    result = cati.infer_binary(stripped, extents, structs=True)
+    return canonical(
+        [protocol.prediction_to_dict(p) for p in result],
+        [protocol.layout_to_dict(layout) for layout in result.layouts],
+        [r.to_dict() for r in result.failures.records])
+
+
 @pytest.fixture(scope="module")
 def reference(mini_cati, jobs) -> dict:
-    out = {}
-    for name, (stripped, extents) in jobs.items():
-        result = mini_cati.infer_binary(stripped, extents, structs=True)
-        out[name] = canonical(
-            [protocol.prediction_to_dict(p) for p in result],
-            [protocol.layout_to_dict(layout) for layout in result.layouts],
-            [r.to_dict() for r in result.failures.records])
-    return out
+    return {name: offline(mini_cati, *job) for name, job in jobs.items()}
+
+
+@pytest.fixture(scope="module")
+def cli_reference(mini_cati) -> dict:
+    """The reference for each item compiled under the CLI's fixed name.
+
+    The CLI names every binary ``cli-demo``, and the name seeds code
+    generation, so ``repro infer --seed S`` types a different binary
+    than the corpus item with seed S.
+    """
+    return {item.name: offline(mini_cati, *dataclasses.replace(item, name="cli-demo").load())
+            for item in CORPUS}
 
 
 @pytest.fixture(scope="module")
@@ -97,32 +120,44 @@ def client(bundle_dir):
     stop_daemon(daemon, thread)
 
 
-def _daemon_binary(env) -> dict:
+@pytest.fixture(scope="module")
+def router_client(bundle_dir):
+    router = RouterDaemon(str(bundle_dir), port=0, workers=2, queue_limit=32)
+    thread = threading.Thread(target=router.run, daemon=True)
+    thread.start()
+    client = ServeClient(router.host, router.port, timeout=120)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        try:
+            if client.health()["workers_live"] == 2:
+                break
+        except OSError:
+            pass
+        time.sleep(0.05)
+    yield client
+    router.request_shutdown()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "router did not drain"
+
+
+def _served(name: str, response: dict) -> dict:
+    assert response["schema"] == protocol.RESPONSE_SCHEMA
+    assert response["binary"] == name
+    return canonical(response["predictions"],
+                     failures=response["failures"]["records"])
+
+
+def _binary_jobs(client, jobs) -> dict:
+    return {name: _served(name, client.infer_binary(*job)) for name, job in jobs.items()}
+
+
+def _session_walks(client, jobs) -> dict:
     out = {}
-    for name, (stripped, extents) in env.jobs.items():
-        response = env.client.infer_binary(stripped, extents)
-        out[name] = canonical(response["predictions"],
-                              failures=response["failures"]["records"])
-    return out
-
-
-def _daemon_windows_packed(env) -> dict:
-    out = {}
-    for name, (stripped, extents) in env.jobs.items():
-        stream = extract_vuc_stream(stripped, extents, env.window)
-        response = env.client.infer_windows(stream.windows(), stream.variable_ids)
-        out[name] = canonical(response["predictions"],
-                              failures=response["failures"]["records"])
-    return out
-
-
-def _session(env) -> dict:
-    out = {}
-    for name, (stripped, extents) in env.jobs.items():
-        opened = env.client._request("POST", "/v1/session/open", {
+    for name, (stripped, extents) in jobs.items():
+        opened = client._request("POST", "/v1/session/open", {
             "binary": protocol.binary_to_wire(stripped),
             "extents": protocol.extents_to_wire(extents)})
-        handle = SessionHandle(env.client, opened["session"])
+        handle = SessionHandle(client, opened["session"])
         try:
             predictions = [handle.type_variable(variable_id)["prediction"]
                            for variable_id in handle.variables]
@@ -132,6 +167,58 @@ def _session(env) -> dict:
         out[name] = canonical(predictions, layouts,
                               opened["failures"]["records"])
     return out
+
+
+def _daemon_binary(env) -> dict:
+    return _binary_jobs(env.request.getfixturevalue("client"), env.jobs)
+
+
+def _daemon_windows_packed(env) -> dict:
+    client = env.request.getfixturevalue("client")
+    out = {}
+    for name, (stripped, extents) in env.jobs.items():
+        stream = extract_vuc_stream(stripped, extents, env.window)
+        response = client.infer_windows(stream.windows(), stream.variable_ids)
+        out[name] = canonical(response["predictions"],
+                              failures=response["failures"]["records"])
+    return out
+
+
+def _daemon_demo(env) -> dict:
+    client = env.request.getfixturevalue("client")
+    return {item.name: _served(item.name, client.infer({"demo": {
+                "seed": item.seed, "compiler": item.compiler,
+                "opt_level": item.opt_level, "name": item.name}}))
+            for item in CORPUS}
+
+
+def _session(env) -> dict:
+    return _session_walks(env.request.getfixturevalue("client"), env.jobs)
+
+
+def _cli_json(env) -> dict:
+    out = {}
+    for item in CORPUS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli_main(["infer", "--model-dir", str(env.bundle_dir),
+                             "--compiler", item.compiler,
+                             "--opt-level", str(item.opt_level),
+                             "--seed", str(item.seed), "--json", "--structs"]) == 0
+        body = json.loads(stdout.getvalue())
+        assert body["schema"] == protocol.RESPONSE_SCHEMA
+        assert body["binary"] == "cli-demo"
+        out[item.name] = canonical(body["predictions"], body["layouts"],
+                                   body["failures"]["records"])
+    return out
+
+
+def _router_2w_binary(env) -> dict:
+    return _binary_jobs(env.request.getfixturevalue("router_client"), env.jobs)
+
+
+def _router_2w_session(env) -> dict:
+    return _session_walks(env.request.getfixturevalue("router_client"), env.jobs)
 
 
 def _batch(env) -> dict:
@@ -148,20 +235,26 @@ def _batch(env) -> dict:
 RUNNERS = {
     "daemon-binary": _daemon_binary,
     "daemon-windows_packed": _daemon_windows_packed,
+    "daemon-demo": _daemon_demo,
     "session": _session,
+    "cli-json": _cli_json,
+    "router-2w-binary": _router_2w_binary,
+    "router-2w-session": _router_2w_session,
     "batch": _batch,
 }
 
 #: Entry points that run the posterior stage and answer with layouts.
-POSTERIOR = ("session", "batch")
+POSTERIOR = ("session", "cli-json", "router-2w-session", "batch")
 
 
 @pytest.mark.parametrize("entry", tuple(RUNNERS))
-def test_entry_point_matches_offline(entry, client, jobs, reference, mini_cati,
+def test_entry_point_matches_offline(entry, request, jobs, reference, mini_cati,
                                      tmp_path, bundle_dir):
-    env = SimpleNamespace(client=client, jobs=jobs, window=mini_cati.config.window,
+    env = SimpleNamespace(request=request, jobs=jobs, window=mini_cati.config.window,
                           tmp_path=tmp_path, bundle_dir=bundle_dir)
     answers = RUNNERS[entry](env)
+    if entry == "cli-json":
+        reference = request.getfixturevalue("cli_reference")
     assert answers.keys() == reference.keys()
     for name, answer in answers.items():
         assert answer["predictions"], f"{name}: no predictions to compare"

@@ -35,6 +35,7 @@ import pytest
 
 from repro.core.artifacts import ModelBundle
 from repro.core.pipeline import Cati
+from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.router import RouterDaemon
 from tests.test_serve import prediction_tuples
@@ -58,8 +59,9 @@ def router_windows(small_corpus):
 @pytest.fixture(scope="session")
 def router_expected(mini_cati, router_windows):
     windows, variable_ids = router_windows
-    return prediction_tuples(
-        mini_cati.engine.predict_variables(windows, variable_ids))
+    stream = protocol.stream_from_packed(protocol.pack_windows(windows),
+                                         variable_ids, mini_cati.config.window)
+    return prediction_tuples(mini_cati.engine.score([stream])[0].predictions)
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +113,6 @@ class TestRouterServing:
             assert worker["generation"] == health["model"]["generation"]
             assert worker["mmap"] is True
             assert "queue" in worker
-
-    def test_infer_matches_offline(self, router, router_windows,
-                                   router_expected):
-        _daemon, client = router
-        windows, variable_ids = router_windows
-        response = client.infer_windows(windows, variable_ids)
-        assert prediction_tuples(response["predictions"]) == router_expected
 
     def test_merged_metrics_roll_up_both_layers(self, router):
         _daemon, client = router

@@ -276,8 +276,7 @@ class TestScheduler:
             scheduler.wait(blocker, timeout=30)
             # ...so they ride one coalesced engine call (2 total).
             assert gate.calls == 2
-            expected = prediction_tuples(mini_cati.engine.predict_variables(
-                stream.windows(), stream.variable_ids))
+            expected = prediction_tuples(mini_cati.engine.score([stream])[0].predictions)
             for result in results:
                 assert prediction_tuples(result) == expected
         finally:
@@ -330,8 +329,7 @@ class TestScheduler:
         scheduler.start()
         pending = [scheduler.submit(stream) for _ in range(3)]
         scheduler.close(timeout=30)
-        expected = prediction_tuples(mini_cati.engine.predict_variables(
-            stream.windows(), stream.variable_ids))
+        expected = prediction_tuples(mini_cati.engine.score([stream])[0].predictions)
         for p in pending:
             assert prediction_tuples(scheduler.wait(p, timeout=1)) == expected
         with pytest.raises(ServerClosedError):
@@ -359,16 +357,6 @@ class TestHttpServing:
         assert health["model"]["repro_version"] == repro.__version__
         assert health["queue"]["limit"] == 32
         assert "p99_s" in health["latency"]
-
-    def test_binary_job_matches_offline(self, daemon, job_binaries,
-                                        offline_results):
-        _daemon, client = daemon
-        stripped, extents = job_binaries[0]
-        response = client.infer_binary(stripped, extents)
-        assert response["schema"] == protocol.RESPONSE_SCHEMA
-        assert response["binary"] == stripped.name
-        assert (prediction_tuples(response["predictions"])
-                == prediction_tuples(offline_results[0]))
 
     def test_eight_concurrent_clients_match_offline(self, daemon, job_binaries,
                                                     offline_results):
@@ -402,17 +390,16 @@ class TestHttpServing:
                 assert served["confidence"] == pytest.approx(
                     float(reference.scores.max()), abs=1e-6)
 
-    def test_windows_job_and_metricsz(self, daemon, mini_cati, job_binaries):
+    def test_windows_job_and_metricsz(self, daemon, mini_cati, job_binaries,
+                                      offline_results):
         _daemon, client = daemon
         stripped, extents = job_binaries[1]
         pairs = extract_unlabeled_vucs(stripped, extents,
                                        mini_cati.config.window)
         response = client.infer_windows([t for _v, t in pairs],
                                         [v for v, _t in pairs])
-        expected = mini_cati.engine.predict_variables(
-            [t for _v, t in pairs], [v for v, _t in pairs])
         assert (prediction_tuples(response["predictions"])
-                == prediction_tuples(expected))
+                == prediction_tuples(offline_results[1]))
         snapshot = client.metrics()
         assert snapshot["counters"].get("serve.requests", 0) >= 1
 
@@ -686,8 +673,7 @@ class TestSigtermDrain:
             process.send_signal(signal.SIGTERM)
             poster.join(timeout=60)
             assert "response" in outcome, "in-flight request was dropped"
-            expected = mini_cati.engine.predict_variables(
-                [t for _v, t in pairs], [v for v, _t in pairs])
+            expected = mini_cati.infer_binary(stripped, extents)
             assert (prediction_tuples(outcome["response"]["predictions"])
                     == prediction_tuples(expected))
             assert process.wait(timeout=60) == 0
@@ -730,19 +716,6 @@ class TestCliJson:
             assert set(prediction) == {"variable_id", "type", "n_vucs",
                                        "confidence", "margin", "runner_up",
                                        "runner_up_confidence", "scores"}
-
-    def test_cli_json_matches_served_demo_job(self, serve_bundle_dir, daemon,
-                                              capsys):
-        from repro.cli import main
-
-        _daemon, client = daemon
-        assert main(["infer", "--model-dir", str(serve_bundle_dir),
-                     "--seed", "9", "--json"]) == 0
-        offline = json.loads(capsys.readouterr().out)
-        served = client.infer({"demo": {"seed": 9, "compiler": "gcc",
-                                        "opt_level": 1, "name": "cli-demo"}})
-        assert (prediction_tuples(served["predictions"])
-                == prediction_tuples(offline["predictions"]))
 
 
 class TestMetricsOut:
