@@ -200,14 +200,12 @@ def test_engine_speedup(gcc_context):
     from repro.core import observability
 
     def timed_with_metrics(enabled: bool) -> float:
-        saved_config, saved_global = cati.config.metrics_enabled, observability.is_enabled()
-        cati.config.metrics_enabled = enabled
+        saved = observability.is_enabled()
         observability.set_enabled(enabled)
         try:
             return _best_of(engine_cold, repeats=1)
         finally:
-            cati.config.metrics_enabled = saved_config
-            observability.set_enabled(saved_global)
+            observability.set_enabled(saved)
 
     # Interleave the two configurations so clock drift / turbo effects
     # hit both sides equally; best-of per side.
@@ -483,7 +481,7 @@ def test_interactive_latency(gcc_context, tmp_path):
     The interactive workload is one variable per request — the
     pathological shape for a batching server.  ``type_variable`` routes
     it through the micro-batch scheduler, so each call pays at most the
-    coalescing delay (``serve_max_delay_ms``) plus one small engine
+    coalescing delay (``--max-delay-ms``) plus one small engine
     batch.  Acceptance: p50 within that budget plus a generous multiple
     of the offline per-variable engine cost (tiny batches amortize
     nothing), i.e. the session path adds bounded overhead and never
@@ -576,7 +574,7 @@ def test_interactive_latency(gcc_context, tmp_path):
     # delay; past that, a single-variable batch should cost a bounded
     # multiple of the offline engine call (HTTP + JSON + tiny-batch
     # overhead), with an absolute floor for fast machines/noise.
-    budget_s = (cati.config.serve_max_delay_ms / 1000.0
+    budget_s = (daemon.scheduler.max_delay_ms / 1000.0
                 + max(25 * offline_single_s, 0.15))
     assert p50_s <= budget_s, (
         f"interactive p50 {p50_s:.3f}s exceeds budget {budget_s:.3f}s")

@@ -129,8 +129,7 @@ def main() -> None:
 
         posterior = recover_layouts(
             predictions, probs, variable_ids, sites,
-            threshold=config.confidence_threshold,
-            min_accesses=config.posterior_min_accesses)
+            threshold=config.confidence_threshold)
         baseline = flat_baseline_layouts(
             predictions, probs, variable_ids, sites,
             threshold=config.confidence_threshold)

@@ -48,8 +48,7 @@ def local_daemon(cati: Cati):
 
     bundle_dir = tempfile.mkdtemp(prefix="cati-example-")
     cati.save(bundle_dir)
-    daemon = ServeDaemon(bundle_dir, host="127.0.0.1", port=0,
-                         config=cati.config)
+    daemon = ServeDaemon(bundle_dir, host="127.0.0.1", port=0)
     thread = threading.Thread(target=daemon.run, daemon=True)
     thread.start()
     return daemon, thread

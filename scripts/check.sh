@@ -10,7 +10,7 @@
 #              EXPERIMENTS.md matches its generator section-for-section,
 #              every public CatiConfig field is documented in
 #              docs/OPERATIONS.md, docs/DEPLOYMENT.md exists with
-#              the serving knobs covered and cross-linked, every
+#              the serving flags covered and cross-linked, every
 #              span name recorded in core/engine.py or vuc/ is named
 #              in docs/OPERATIONS.md, and the job kinds it lists for
 #              /v1/infer and /v1/session/open match serve.protocol.

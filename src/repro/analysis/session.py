@@ -172,7 +172,7 @@ def build_session(session_id: str, stripped: Binary,
     with observability.span("sessions.extract"):
         stream = extract_vuc_stream(
             stripped, extents, config.window, on_error=on_error,
-            failures=failures, metrics=config.metrics_enabled, sites=True)
+            failures=failures, sites=True)
     ids = encoder.encode_stream(stream)
     extracted = set(stream.variable_ids)
     annotations: list[dict[int, str]] = []

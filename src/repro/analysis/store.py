@@ -6,10 +6,10 @@ handler threads (http.server spawns one per connection) and the
 micro-batch scheduler's worker all touch sessions concurrently.  Two
 bounds keep a long-lived daemon safe:
 
-* **TTL** (``CatiConfig.session_ttl_s``): a session idle past the TTL
+* **TTL** (``repro serve --session-ttl-s``): a session idle past the TTL
   is dropped on the next store access — any access, not just its own,
   so abandoned sessions cannot linger behind an idle id.
-* **Byte cap** (``CatiConfig.session_max_bytes``): inserting past the
+* **Byte cap** (``--session-max-bytes``): inserting past the
   budget evicts least-recently-used sessions until the store fits
   (the session just inserted is never evicted by its own insert — a
   single oversized session still serves, it just owns the store).
@@ -41,6 +41,12 @@ from collections import OrderedDict
 from repro.core import observability
 from repro.core.errors import SessionGoneError
 
+#: Idle seconds before a session expires (``repro serve --session-ttl-s``).
+DEFAULT_TTL_S = 600.0
+
+#: Byte budget of one daemon's sessions (``repro serve --session-max-bytes``).
+DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
 
 def session_slot(session_id: str, n_slots: int) -> int:
     """The worker slot owning ``session_id`` (stable across processes)."""
@@ -64,8 +70,8 @@ def mint_session_id(slot_index: int = 0, slot_count: int = 1) -> str:
 class SessionStore:
     """TTL + LRU-by-bytes bounded map of open analysis sessions."""
 
-    def __init__(self, *, ttl_s: float = 600.0,
-                 max_bytes: int = 256 * 1024 * 1024,
+    def __init__(self, *, ttl_s: float = DEFAULT_TTL_S,
+                 max_bytes: int = DEFAULT_MAX_BYTES,
                  clock=time.monotonic) -> None:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be > 0")

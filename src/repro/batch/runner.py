@@ -133,12 +133,6 @@ class FaultPlan:
 # -- model / drift -----------------------------------------------------------------
 
 
-def _open_model(model_dir: str, config: CatiConfig | None) -> tuple[Cati, str]:
-    bundle = ModelBundle.open(model_dir)
-    cati = Cati.load(model_dir, config=config)
-    return cati, bundle.content_key()
-
-
 def _check_drift(body: dict, model_dir: str, *, force: bool,
                  store: BatchJobStore) -> tuple[Cati, dict]:
     """Reject model/config drift on resume; ``force`` re-binds the job."""
@@ -395,7 +389,6 @@ def _merge(store: BatchJobStore, spec: JobSpec, model_key: str) -> dict:
 
 
 def run_job(job_dir: str | Path, spec: JobSpec, *, model_dir: str,
-            config: CatiConfig | None = None,
             cache_dir: str | Path | None = None,
             sleep: Callable[[float], None] = time.sleep) -> dict:
     """Create a fresh batch job and drive it to completion.
@@ -406,10 +399,10 @@ def run_job(job_dir: str | Path, spec: JobSpec, *, model_dir: str,
     ``<job_dir>/results.json``).
     """
     store = BatchJobStore(job_dir)
-    cati, model_key = _open_model(str(model_dir), config)
+    cati = Cati.load(str(model_dir))
     body = store.create(
         spec, config=cati.config.to_dict(), model_dir=str(model_dir),
-        model_key=model_key,
+        model_key=ModelBundle.open(str(model_dir)).content_key(),
         cache_dir=str(cache_dir) if cache_dir else None)
     logger.info("batch job created at %s: %d item(s) in %d shard(s)",
                 job_dir, len(spec.items), len(spec.shards()))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -86,43 +87,32 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_for_model(model_dir: str, **overrides) -> "CatiConfig":
-    """A config for loading ``model_dir`` with runtime knobs overridden.
+def _compile_demo(args: argparse.Namespace):
+    """The seeded ``cli-demo`` binary and its ground truth (variable id → type)."""
+    from repro.codegen.binary import debug_variables
+    from repro.codegen.compilers import compiler_by_name
 
-    The manifest's config snapshot is authoritative for the structural
-    fields, so start from it and replace only the given runtime knobs —
-    a CLI built from defaults must load bundles trained with any
-    architecture.
-    """
-    import dataclasses
-
-    from repro.core.artifacts import ModelBundle
-
-    saved = ModelBundle.open(model_dir).saved_config()
-    return dataclasses.replace(saved, **overrides)
+    binary = compiler_by_name(args.compiler).compile_fresh(
+        seed=args.seed, name="cli-demo", opt_level=args.opt_level)
+    index_of = {func.name: index for index, func in enumerate(binary.functions)}
+    truth = {}
+    for record in debug_variables(binary):
+        if record.function in index_of:
+            base = "rbp" if record.frame_offset < 0 else "rsp"
+            variable_id = f"cli-demo/{index_of[record.function]}::{base}{record.frame_offset:+d}"
+            truth[variable_id] = record.type_label
+    return binary, truth
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    from repro.codegen.compilers import compiler_by_name
     from repro.codegen.strip import strip
-    from repro.codegen.binary import debug_variables
     from repro.core.errors import FailureReport
     from repro.core.pipeline import Cati
     from repro.experiments.speed import extents_from_debug
 
     _apply_metrics_flags(args)
-    config = _config_for_model(args.model_dir,
-                               metrics_enabled=not args.no_metrics)
-    cati = Cati.load(args.model_dir, config=config, warm_start=True)
-    compiler = compiler_by_name(args.compiler)
-    binary = compiler.compile_fresh(seed=args.seed, name="cli-demo", opt_level=args.opt_level)
-    truth = {}
-    for func_index, func in enumerate(binary.functions):
-        for record in debug_variables(binary):
-            if record.function != func.name:
-                continue
-            base = "rbp" if record.frame_offset < 0 else "rsp"
-            truth[f"cli-demo/{func_index}::{base}{record.frame_offset:+d}"] = record.type_label
+    cati = Cati.load(args.model_dir, warm_start=True)
+    binary, truth = _compile_demo(args)
     failures = FailureReport()
     predictions = cati.infer_binary(strip(binary), extents_from_debug(binary),
                                     on_error=args.on_error, failures=failures,
@@ -167,53 +157,36 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     _apply_metrics_flags(args)
-    config = _config_for_model(args.model_dir,
-                               metrics_enabled=not args.no_metrics,
-                               serve_max_batch=args.max_batch,
-                               serve_max_delay_ms=args.max_delay_ms,
-                               session_ttl_s=args.session_ttl_s,
-                               session_max_bytes=args.session_max_bytes,
-                               serve_workers=(args.workers
-                                              if args.workers is not None
-                                              else 0))
-    workers = config.resolved_serve_workers()
+    if args.workers is not None and args.workers < 0:
+        raise ValueError("--workers must be >= 0 (0 = auto)")
+    workers = args.workers or max(1, min(os.cpu_count() or 1, 4))
     # mmap default: on for the pre-fork router (that is the point of the
     # shared mirror), off for the classic in-process daemon unless asked.
     mmap = args.mmap if args.mmap is not None else workers > 1
+    options = dict(
+        host=args.host,
+        port=args.port,
+        queue_limit=args.queue_limit,
+        max_batch=args.max_batch,
+        max_delay_ms=args.max_delay_ms,
+        session_ttl_s=args.session_ttl_s,
+        session_max_bytes=args.session_max_bytes,
+        default_deadline_s=args.deadline_s,
+        default_on_error=args.on_error,
+        watch=args.watch,
+        watch_interval_s=args.watch_interval,
+        verbose=args.verbose,
+        mmap=mmap,
+    )
     if workers <= 1:
         # Today's in-process daemon: one process, one engine, no router.
         from repro.serve.server import ServeDaemon
 
-        daemon = ServeDaemon(
-            args.model_dir,
-            host=args.host,
-            port=args.port,
-            config=config,
-            queue_limit=args.queue_limit,
-            default_deadline_s=args.deadline_s,
-            default_on_error=args.on_error,
-            watch=args.watch,
-            watch_interval_s=args.watch_interval,
-            verbose=args.verbose,
-            mmap=mmap,
-        )
+        daemon = ServeDaemon(args.model_dir, **options)
     else:
         from repro.serve.router import RouterDaemon
 
-        daemon = RouterDaemon(
-            args.model_dir,
-            host=args.host,
-            port=args.port,
-            workers=workers,
-            config=config,
-            queue_limit=args.queue_limit,
-            default_deadline_s=args.deadline_s,
-            default_on_error=args.on_error,
-            watch=args.watch,
-            watch_interval_s=args.watch_interval,
-            verbose=args.verbose,
-            mmap=mmap,
-        )
+        daemon = RouterDaemon(args.model_dir, workers=workers, **options)
     daemon.install_signal_handlers()
     try:
         return daemon.run()
@@ -251,21 +224,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _client_infer(args: argparse.Namespace, client) -> int:
-    from repro.codegen.binary import debug_variables
-    from repro.codegen.compilers import compiler_by_name
     from repro.codegen.strip import strip
     from repro.experiments.speed import extents_from_debug
 
-    compiler = compiler_by_name(args.compiler)
-    binary = compiler.compile_fresh(seed=args.seed, name="cli-demo",
-                                    opt_level=args.opt_level)
-    truth = {}
-    for func_index, func in enumerate(binary.functions):
-        for record in debug_variables(binary):
-            if record.function != func.name:
-                continue
-            base = "rbp" if record.frame_offset < 0 else "rsp"
-            truth[f"cli-demo/{func_index}::{base}{record.frame_offset:+d}"] = record.type_label
+    binary, truth = _compile_demo(args)
     response = client.infer_binary(strip(binary), extents_from_debug(binary),
                                    on_error=args.on_error)
     if args.json:
@@ -436,12 +398,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                            max_retries=args.max_retries, seed=args.seed,
                            structs=args.structs)
             cache_dir = None if args.no_cache else args.cache_dir
-            config = None
-            if args.model_dir:
-                config = _config_for_model(
-                    args.model_dir, metrics_enabled=not args.no_metrics)
             results = run_job(args.job_dir, spec, model_dir=args.model_dir,
-                              config=config, cache_dir=cache_dir)
+                              cache_dir=cache_dir)
     except CatiError as error:
         print(f"batch {args.batch_command} failed: {error}", file=sys.stderr)
         return 2
@@ -460,6 +418,9 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.store import DEFAULT_MAX_BYTES, DEFAULT_TTL_S
+    from repro.serve.scheduler import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CATI reproduction: type inference from stripped binaries",
@@ -505,18 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
                             ".npy mirror (default: on with workers > 1)")
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="pending requests beyond this are answered 503")
-    serve.add_argument("--max-batch", type=int, default=4096,
+    serve.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
                        help="max VUC windows coalesced per engine call")
-    serve.add_argument("--max-delay-ms", type=float, default=5.0,
+    serve.add_argument("--max-delay-ms", type=float, default=DEFAULT_MAX_DELAY_MS,
                        help="max wait to coalesce concurrent requests")
     serve.add_argument("--deadline-s", type=float, default=None,
                        help="default per-request deadline (504 past it)")
     serve.add_argument("--on-error", choices=("raise", "skip"), default="skip",
                        help="default per-request degradation policy")
-    serve.add_argument("--session-ttl-s", type=float, default=600.0,
+    serve.add_argument("--session-ttl-s", type=float, default=DEFAULT_TTL_S,
                        help="idle seconds before an analysis session expires")
-    serve.add_argument("--session-max-bytes", type=int,
-                       default=256 * 1024 * 1024,
+    serve.add_argument("--session-max-bytes", type=int, default=DEFAULT_MAX_BYTES,
                        help="per-worker session-store byte budget "
                             "(LRU eviction past it)")
     serve.add_argument("--watch", action="store_true",

@@ -19,12 +19,19 @@ logger = logging.getLogger(__name__)
 #: that no longer exist.  :meth:`CatiConfig.from_dict` drops them (with
 #: one logged note) so artifacts written before their removal still load.
 RETIRED_FIELDS = ("n_workers", "job_timeout", "quantize_embeddings",
-                  "tool_timeout", "tool_retries", "posterior_enabled")
+                  "tool_timeout", "tool_retries", "posterior_enabled",
+                  "max_batch", "dedup_cache_size", "metrics_enabled",
+                  "serve_max_batch", "serve_max_delay_ms", "serve_workers",
+                  "posterior_min_accesses", "session_ttl_s", "session_max_bytes")
 
 
 @dataclass
 class CatiConfig:
-    """All knobs of the system in one place."""
+    """The trained model's knobs, frozen into each bundle's ``manifest.json``.
+
+    Serving and session settings are keyword arguments of the objects
+    that use them (``ServeDaemon``, ``SessionStore``, ...).
+    """
 
     window: int = 10                   # w: instructions before/after target
     token_dim: int = 32                # Word2Vec embedding length (§IV-C)
@@ -38,16 +45,7 @@ class CatiConfig:
     class_weighting: bool = True       # sqrt-inverse-frequency loss weights
     min_token_count: int = 2
     seed: int = 0
-    max_batch: int = 1024              # engine: windows per dense inference chunk
-    dedup_cache_size: int = 65536      # engine: cached leaf rows for repeated windows (0 = off)
-    metrics_enabled: bool = True       # observability: record pipeline metrics/spans
     metrics_vote_detail: bool = True   # observability: per-leaf-type vote-margin histograms
-    serve_max_batch: int = 4096        # serve: max VUC windows coalesced per engine call
-    serve_max_delay_ms: float = 5.0    # serve: max wait to coalesce concurrent requests
-    serve_workers: int = 0             # serve: worker processes (0 = auto min(cores, 4); 1 = in-process daemon)
-    posterior_min_accesses: int = 2    # posterior: min pooled accesses to keep a field offset
-    session_ttl_s: float = 600.0       # analysis: idle seconds before an interactive session expires
-    session_max_bytes: int = 256 * 1024 * 1024  # analysis: session-store byte budget (LRU past it)
     word2vec: Word2VecConfig = field(default_factory=lambda: Word2VecConfig(
         dim=32, window=5, epochs=2, subsample_pairs=0.5,
     ))
@@ -59,22 +57,6 @@ class CatiConfig:
             raise ValueError("window must be >= 0")
         if not 0.0 < self.confidence_threshold <= 1.0:
             raise ValueError("confidence threshold must be in (0, 1]")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.dedup_cache_size < 0:
-            raise ValueError("dedup_cache_size must be >= 0")
-        if self.serve_max_batch < 1:
-            raise ValueError("serve_max_batch must be >= 1")
-        if self.serve_max_delay_ms < 0:
-            raise ValueError("serve_max_delay_ms must be >= 0")
-        if self.serve_workers < 0:
-            raise ValueError("serve_workers must be >= 0 (0 = auto)")
-        if self.posterior_min_accesses < 1:
-            raise ValueError("posterior_min_accesses must be >= 1")
-        if self.session_ttl_s <= 0:
-            raise ValueError("session_ttl_s must be > 0")
-        if self.session_max_bytes < 1:
-            raise ValueError("session_max_bytes must be >= 1")
         self.word2vec.dim = self.token_dim
 
     def to_dict(self) -> dict:
@@ -119,14 +101,6 @@ class CatiConfig:
         if "conv_channels" in data:
             data["conv_channels"] = tuple(data["conv_channels"])
         return cls(**data)
-
-    def resolved_serve_workers(self) -> int:
-        """``serve_workers`` with the 0 default resolved to ``min(cores, 4)``."""
-        if self.serve_workers:
-            return self.serve_workers
-        import os
-
-        return max(1, min(os.cpu_count() or 1, 4))
 
     @property
     def vuc_length(self) -> int:

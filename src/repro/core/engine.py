@@ -24,29 +24,28 @@ numbers.  The engine exploits that redundancy at every level:
   agrees with the naive path to ~1e-7);
 * **arena-fused execution** — every cascade intermediate lives in a
   per-engine :class:`_KernelArena` of named, grow-on-demand float32
-  buffers (thread-local, sized by the ``CatiConfig.max_batch`` chunk
-  and reused across ``_stage_probs_chunk`` calls), with
+  buffers (thread-local, sized by the :data:`MAX_BATCH` chunk and
+  reused across ``_stage_probs_chunk`` calls), with
   ``np.matmul(..., out=)`` / ``np.take(..., out=)`` / in-place
   activations eliminating per-call allocation churn;
-* **chunking** — dense passes proceed in ``CatiConfig.max_batch`` window
+* **chunking** — dense passes proceed in :data:`MAX_BATCH` window
   chunks so arbitrarily large corpora run in bounded memory;
 * **occlusion at the id level** — all L+1 occluded variants of a window
   batch are materialized as one small int tensor (BLANK row ids
   overwrite one position each) and pushed through the same deduplicated
   path, which automatically reuses every context the BLANK did not touch.
 
-Models whose layer stack deviates from the canonical CATI CNN (e.g. the
-window-0 ablation, which has no pooling) fall back to a generic batched
-float32 forward; unknown layer types fall back to the naive float64
-model.  Equivalence of every fast path with the naive one is enforced by
-``tests/test_engine.py``.
+Models whose layer stack deviates from the canonical CATI CNN (the
+window-0 and window-1 ablation models lack the second pool) run the
+classifier's own float64 forward, the reference.  Equivalence of every
+fast path with the naive one is enforced by ``tests/test_engine.py``.
 
 Contract: the engine is a pure accelerator — for any trained model it
 returns bitwise-deterministic results that agree with the naive
 reference to ≤1e-6, never mutates the model, degrades per function
 under ``on_error="skip"`` (everything dropped is enumerated in the
 result's :attr:`InferenceResult.failures`), and reports what it did
-into the global metrics registry when ``CatiConfig.metrics_enabled``:
+into the global metrics registry unless ``observability.set_enabled(False)``:
 ``engine.windows`` / ``engine.unique_windows`` / ``engine.cache_hits`` /
 ``engine.cache_misses`` counters (plus ``engine.store_hits`` when a
 durable window store is attached — see :meth:`InferenceEngine.attach_window_store`),
@@ -84,6 +83,12 @@ from repro.nn.model import layer_kind
 from repro.vuc.dataflow import VariableExtent
 from repro.vuc.generalize import BLANK_TOKENS, Tokens
 from repro.vuc.stream import VucStream, extract_vuc_stream
+
+#: Windows per dense inference chunk; bounds the scratch arena's peak size.
+MAX_BATCH = 1024
+
+#: Leaf rows the LRU keeps for repeated windows, across calls and binaries.
+DEDUP_CACHE_SIZE = 65536
 
 
 @dataclass
@@ -166,8 +171,7 @@ class Analysis:
                     self._layouts = recover_layouts(
                         predictions, self.probs, self.stream.variable_ids,
                         self.stream.sites,
-                        threshold=engine.config.confidence_threshold,
-                        min_accesses=engine.config.posterior_min_accesses)
+                        threshold=engine.config.confidence_threshold)
             return self._layouts
 
 
@@ -207,57 +211,21 @@ _CONV2_INDEX = 3
 _DENSE1_INDEX = 7
 
 
-def _compile_ops(model) -> list[tuple] | None:
-    """float32 mirror program of a Sequential; None if a layer is unknown."""
-    ops: list[tuple] = []
-    for layer in model.layers:
-        kind = layer_kind(layer)
-        if kind == "conv":
-            ops.append(("conv", layer.weight.astype(np.float32),
-                        layer.bias.astype(np.float32), layer.kernel_size))
-        elif kind == "dense":
-            ops.append(("dense", layer.weight.astype(np.float32),
-                        layer.bias.astype(np.float32)))
-        elif kind == "pool":
-            ops.append(("pool", layer.pool))
-        elif kind in ("relu", "flatten", "noop"):
-            ops.append((kind,))
-        else:
-            return None
-    return ops
+def _compile_ops(model) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The float32 (weight, bias) of conv1, conv2 and dense1 the cascade reads.
 
-
-def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    pad = kernel // 2
-    padded = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (kernel, x.shape[2]), axis=(1, 2)
-    )
-    return windows.reshape(x.shape[0], x.shape[1], kernel * x.shape[2])
-
-
-def _run_ops(ops: list[tuple], x: np.ndarray) -> np.ndarray:
-    """Generic batched float32 inference over a compiled program."""
-    for op in ops:
-        kind = op[0]
-        if kind == "conv":
-            _, weight, bias, kernel = op
-            cols = _im2col(x, kernel)
-            batch, length, flat = cols.shape
-            x = (cols.reshape(batch * length, flat) @ weight).reshape(batch, length, -1) + bias
-        elif kind == "relu":
-            x = np.maximum(x, 0.0)
-        elif kind == "pool":
-            pool = op[1]
-            batch, length, channels = x.shape
-            out_len = length // pool
-            x = x[:, :out_len * pool].reshape(batch, out_len, pool, channels).max(axis=2)
-        elif kind == "flatten":
-            x = x.reshape(len(x), -1)
-        elif kind == "dense":
-            _, weight, bias = op
-            x = x @ weight + bias
-    return x
+    None when the stack is not the canonical CNN (3-wide convs, each
+    followed by a 2-wide pool).
+    """
+    layers = model.layers
+    if tuple(layer_kind(layer) for layer in layers) != _CANONICAL_KINDS:
+        return None
+    if layers[0].kernel_size != 3 or layers[_CONV2_INDEX].kernel_size != 3:
+        return None
+    if layers[2].pool != 2 or layers[5].pool != 2:
+        return None
+    return [(layers[i].weight.astype(np.float32), layers[i].bias.astype(np.float32))
+            for i in (0, _CONV2_INDEX, _DENSE1_INDEX)]
 
 
 # -- dedup primitives ------------------------------------------------------------
@@ -317,7 +285,7 @@ class _KernelArena:
     first: ``np.matmul(..., out=)`` and in-place activations write into
     the same memory every call.  Buffers grow geometrically when a
     larger chunk arrives and are never shrunk (peak size is bounded by
-    ``CatiConfig.max_batch``).  One arena per thread (see
+    :data:`MAX_BATCH`).  One arena per thread (see
     ``InferenceEngine._arena``) — views handed out are only valid until
     the same thread's next chunk.
     """
@@ -407,12 +375,12 @@ class InferenceEngine:
     # -- observability -----------------------------------------------------------
 
     def _metrics_on(self) -> bool:
-        """Instrumentation gate: the config knob AND the global switch."""
-        return self.config.metrics_enabled and observability.is_enabled()
+        """Instrumentation gate: the global ``observability`` switch."""
+        return observability.is_enabled()
 
     def _span(self, name: str):
         """A registry span when metrics are on, else a free no-op."""
-        if self.config.metrics_enabled:
+        if observability.is_enabled():
             return observability.get_registry().span(name)
         return nullcontext()
 
@@ -426,21 +394,23 @@ class InferenceEngine:
             raise RuntimeError("classifier has no trained stages")
         self._ops = [_compile_ops(self.classifier.stages[stage].model)
                      for stage in self._stage_order]
-        self._cascade = self._cascade_applicable()
+        self._cascade = (all(ops is not None for ops in self._ops)
+                         and len({ops[0][0].shape for ops in self._ops}) == 1)
         if self._cascade:
             self._kernels = self._compile_cascade_kernels()
 
     def _compile_cascade_kernels(self) -> _CascadeKernels:
         assert self._ops is not None
         ops = self._ops
-        w1 = np.ascontiguousarray(
-            np.concatenate([o[0][1] for o in ops], axis=1))        # type: ignore[index]
+        # One tuple per layer of every stage's (weight, bias).
+        conv1, conv2, dense1 = zip(*ops)
+        w1 = np.ascontiguousarray(np.concatenate([w for w, _b in conv1], axis=1))
         sc1 = w1.shape[1]
-        bias1 = np.concatenate([o[0][2] for o in ops])             # type: ignore[index]
-        w2 = np.ascontiguousarray(np.stack([o[_CONV2_INDEX][1] for o in ops]))  # type: ignore[index]
-        b2 = np.ascontiguousarray(np.stack([o[_CONV2_INDEX][2] for o in ops])[:, None, :])  # type: ignore[index]
-        wfc = np.ascontiguousarray(np.stack([o[_DENSE1_INDEX][1] for o in ops]))  # type: ignore[index]
-        bfc = np.ascontiguousarray(np.stack([o[_DENSE1_INDEX][2] for o in ops])[:, None, :])  # type: ignore[index]
+        bias1 = np.concatenate([b for _w, b in conv1])
+        w2 = np.ascontiguousarray(np.stack([w for w, _b in conv2]))
+        b2 = np.ascontiguousarray(np.stack([b for _w, b in conv2])[:, None, :])
+        wfc = np.ascontiguousarray(np.stack([w for w, _b in dense1]))
+        bfc = np.ascontiguousarray(np.stack([b for _w, b in dense1])[:, None, :])
         wout64, bout64, counts = self.classifier.padded_output_heads()
         return _CascadeKernels(
             w1=w1, bias1=bias1, w2=w2, b2=b2, wfc=wfc, bfc=bfc,
@@ -449,18 +419,6 @@ class InferenceEngine:
             class_counts=counts,
             c1=sc1 // len(ops), c2=w2.shape[2], fc=wfc.shape[2],
         )
-
-    def _cascade_applicable(self) -> bool:
-        assert self._ops is not None
-        for ops in self._ops:
-            if ops is None or tuple(op[0] for op in ops) != _CANONICAL_KINDS:
-                return False
-            if ops[0][3] != 3 or ops[_CONV2_INDEX][3] != 3:
-                return False
-            if ops[2][1] != 2 or ops[5][1] != 2:
-                return False
-        first = self._ops[0][0][1].shape
-        return all(ops[0][1].shape == first for ops in self._ops)  # type: ignore[union-attr]
 
     def warm_start(self) -> None:
         """Compile the float32 kernels now instead of on the first batch.
@@ -514,13 +472,10 @@ class InferenceEngine:
         self.window_store = store
 
     def _cache_put_many(self, pairs: list[tuple[bytes, np.ndarray]]) -> None:
-        limit = self.config.dedup_cache_size
-        if limit <= 0 or not pairs:
-            return
         with self._cache_lock:
             for key, row in pairs:
                 self._cache[key] = row
-            while len(self._cache) > limit:
+            while len(self._cache) > DEDUP_CACHE_SIZE:
                 self._cache.popitem(last=False)
 
     # -- classify + vote ---------------------------------------------------------
@@ -560,18 +515,15 @@ class InferenceEngine:
         probs = np.empty((unique, len(ALL_TYPES)))
         todo: list[int] = []
         keys = list(index_of)
-        if self.config.dedup_cache_size > 0:
-            with self._cache_lock:
-                for j, key in enumerate(keys):
-                    row = self._cache.get(key)
-                    if row is None:
-                        todo.append(j)
-                    else:
-                        self._cache.move_to_end(key)
-                        probs[j] = row
-                        self.stats.cache_hits += 1
-        else:
-            todo = list(range(unique))
+        with self._cache_lock:
+            for j, key in enumerate(keys):
+                row = self._cache.get(key)
+                if row is None:
+                    todo.append(j)
+                else:
+                    self._cache.move_to_end(key)
+                    probs[j] = row
+                    self.stats.cache_hits += 1
         lru_hits = unique - len(todo)
         if todo and self.window_store is not None:
             # Consult the durable store for what the LRU missed; hits are
@@ -608,46 +560,34 @@ class InferenceEngine:
         return probs[assign]
 
     def _leaf_proba_dense(self, ids: np.ndarray) -> np.ndarray:
+        self._require_ops()
         chunks = []
         record = self._metrics_on()
         registry = observability.get_registry() if record else None
-        for start in range(0, len(ids), self.config.max_batch):
+        for start in range(0, len(ids), MAX_BATCH):
             began = time.perf_counter() if record else 0.0
-            stage_probs = self._stage_probs_chunk(ids[start:start + self.config.max_batch])
-            chunks.append(compose_leaves(stage_probs))
+            chunk = ids[start:start + MAX_BATCH]
+            if self._cascade:
+                chunks.append(compose_leaves(self._stage_probs_chunk(chunk)))
+            else:
+                # Off the canonical CNN: the classifier's own forward.
+                n, length, _ = chunk.shape
+                x = self._embed_rows(chunk.reshape(n * length, 3)).reshape(n, length, -1)
+                chunks.append(self.classifier.leaf_proba(x))
             if registry is not None:
                 registry.observe("engine.chunk_seconds",
                                  time.perf_counter() - began, TIME_BUCKETS)
         return np.concatenate(chunks)
 
     def _stage_probs_chunk(self, ids: np.ndarray) -> dict[Stage, np.ndarray]:
-        self._require_ops()
-        logits = self._cascade_logits(ids) if self._cascade else self._generic_logits(ids)
         return {stage: softmax(out.astype(np.float64))
-                for stage, out in zip(self._stage_order, logits)}
+                for stage, out in zip(self._stage_order, self._cascade_logits(ids))}
 
     def _embed_rows(self, instr_u: np.ndarray) -> np.ndarray:
         """[U, 3] id-triples → [U, instruction_dim] float32 embeddings."""
         vectors = self.encoder.embedding.vectors[instr_u.reshape(-1)].astype(
             np.float32, copy=False)
         return vectors.reshape(len(instr_u), -1)
-
-    def _embed_ids(self, ids: np.ndarray) -> np.ndarray:
-        n, length, _ = ids.shape
-        return self._embed_rows(ids.reshape(n * length, 3)).reshape(
-            n, length, self.encoder.instruction_dim)
-
-    def _generic_logits(self, ids: np.ndarray) -> list[np.ndarray]:
-        assert self._ops is not None
-        with self._span("generic_forward"):
-            x = self._embed_ids(ids)
-            out = []
-            for stage, ops in zip(self._stage_order, self._ops):
-                if ops is None:
-                    out.append(self.classifier.stages[stage].model.forward(x, training=False))
-                else:
-                    out.append(_run_ops(ops, x))
-            return out
 
     def _cascade_logits(self, ids: np.ndarray) -> list[np.ndarray]:
         """Context-deduplicated trunk + stacked batched heads (module doc).
@@ -817,8 +757,7 @@ class InferenceEngine:
             with self._span("extract"):
                 stream = extract_vuc_stream(
                     stripped, extents_by_function, self.config.window,
-                    on_error=on_error, failures=report,
-                    metrics=self.config.metrics_enabled, sites=structs)
+                    on_error=on_error, failures=report, sites=structs)
             if len(stream):
                 try:
                     analysis = self.score([stream])[0]
@@ -853,7 +792,7 @@ class InferenceEngine:
         if self._metrics_on():
             observability.inc("engine.occlusion.windows", n)
         blank = self.encoder.embedding.vocab.encode(list(BLANK_TOKENS)).astype(ids.dtype)
-        group = max(1, self.config.max_batch // (length + 1))
+        group = max(1, MAX_BATCH // (length + 1))
         rows = np.arange(length)
         with self._span("occlusion"):
             for start in range(0, n, group):

@@ -26,9 +26,9 @@ Three metric kinds plus spans, all thread-safe:
 The process-global registry is reachable through :func:`get_registry`,
 with module-level conveniences (:func:`inc`, :func:`observe`,
 :func:`span`, :func:`snapshot`) that no-op in nanoseconds when metrics
-are disabled via :func:`set_enabled` (the global kill switch) — the
-pipeline additionally honours ``CatiConfig.metrics_enabled`` at its own
-call sites.  ``snapshot()`` returns a JSON-ready dict; ``render_text``
+are disabled via :func:`set_enabled` (the global kill switch; the CLI's
+``--no-metrics``), which the pipeline also checks before doing any
+metrics-only work.  ``snapshot()`` returns a JSON-ready dict; ``render_text``
 renders the same data as an aligned table for terminals.
 
 See ``docs/OPERATIONS.md`` for the operator-facing story (what each

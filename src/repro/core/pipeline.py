@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.artifacts import ModelBundle, provenance_from_training
 
 from repro.codegen.binary import Binary
+from repro.core import observability
 from repro.core.classifier import MultiStageClassifier
 from repro.core.config import CatiConfig
 from repro.core.types import ALL_TYPES, TypeName
@@ -63,7 +64,7 @@ def predictions_from_probs(
     is the argmax of the summed clipped scores, which is exactly
     eq. (4)'s :func:`~repro.core.voting.vote` over the same matrix.
 
-    With ``metrics`` (callers pass ``CatiConfig.metrics_enabled``), clip
+    With ``metrics`` (callers pass ``observability.is_enabled()``), clip
     counts and per-variable vote margins are recorded into the global
     registry; ``vote_detail`` adds the per-winning-leaf-type margin
     histograms.
@@ -186,7 +187,7 @@ class Cati:
         probs = self.predict_vuc_proba(windows)
         return predictions_from_probs(
             probs, variable_ids, self.config.confidence_threshold,
-            metrics=self.config.metrics_enabled,
+            metrics=observability.is_enabled(),
             vote_detail=self.config.metrics_vote_detail)
 
     # -- whole-binary inference --------------------------------------------------------------
@@ -210,7 +211,7 @@ class Cati:
         :class:`~repro.core.engine.InferenceResult` (a ``list`` of
         :class:`VariablePrediction`) carries a machine-readable
         ``failures`` report of everything skipped, plus a ``metrics``
-        snapshot when ``CatiConfig.metrics_enabled``.
+        snapshot unless metrics are switched off.
 
         ``structs=True`` also runs the posterior struct-recovery stage
         and attaches recovered layouts to the result (see

@@ -11,10 +11,9 @@ vote's margin (winner minus runner-up of the summed clipped scores)
 overall and per winning leaf type — the per-type margin distribution is
 where low-confidence type families (e.g. Stage 2-1's pointer subkinds)
 show up in a metrics dump.  Both no-op when the global registry is
-disabled; callers on the hot path additionally gate them on
-``CatiConfig.metrics_enabled``.  :func:`observe_votes` takes the whole
-batch at once so per-variable cost is a list append, not a lock
-round-trip.
+disabled, and callers on the hot path skip them then.
+:func:`observe_votes` takes the whole batch at once so per-variable
+cost is a list append, not a lock round-trip.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def extents_from_debug(binary) -> list[list[VariableExtent]]:
 
 def run(context: ExperimentContext, n_binaries: int = 8) -> SpeedResult:
     cati = context.cati
-    if not (cati.config.metrics_enabled and observability.is_enabled()):
+    if not observability.is_enabled():
         raise RuntimeError("speed.run reads infer_binary's spans; enable metrics")
     binaries = context.corpus.test_binaries[:n_binaries]
     n_variables = n_vucs = 0

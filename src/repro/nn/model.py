@@ -131,9 +131,9 @@ class Sequential:
             value[...] = state[key]
 
 
-#: Layer class → the op kind the inference engine compiles it to; a
-#: layer type missing here has no float32 mirror (the engine then falls
-#: back to the naive float64 forward for that stage).
+#: Layer class → its op kind; the inference engine runs its cascade only
+#: on a stack of these kinds in the canonical order (otherwise the
+#: model's own float64 forward).
 _LAYER_KINDS: dict[type, str] = {
     Conv1d: "conv", ReLU: "relu", MaxPool1d: "pool",
     Flatten: "flatten", Dense: "dense", Dropout: "noop",

@@ -272,9 +272,8 @@ def recover_layouts(
     ``variable_ids`` and ``sites`` (the engine extracts them together);
     ``predictions`` are the already-voted per-variable results that
     decide which variables own base objects.  ``min_accesses`` drops
-    offsets with too little pooled evidence (``posterior_min_accesses``);
-    ``pool=False`` disables cross-function pooling (the flat per-slot
-    baseline).
+    offsets with too little pooled evidence; ``pool=False`` disables
+    cross-function pooling (the flat per-slot baseline).
     """
     if len(variable_ids) != len(sites):
         raise ValueError(

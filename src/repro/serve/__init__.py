@@ -14,9 +14,9 @@ The moving parts:
   outputs are diffable);
 * :mod:`repro.serve.scheduler` — the dynamic micro-batching scheduler:
   concurrent requests' VUC windows coalesce into single
-  :class:`~repro.core.engine.InferenceEngine` calls
-  (``CatiConfig.serve_max_batch`` / ``serve_max_delay_ms``), behind a
-  bounded admission queue with per-request deadlines;
+  :class:`~repro.core.engine.InferenceEngine` calls (``--max-batch`` /
+  ``--max-delay-ms``), behind a bounded admission queue with
+  per-request deadlines;
 * :mod:`repro.serve.host` — the resident model: thread-safe engine
   swap, ``POST /v1/reload`` verification off the serving threads, and
   the ``--watch`` mtime poller;

@@ -121,14 +121,14 @@ def binary_from_wire(data: object) -> Binary:
             raise RequestError("each function must be an object", stage="serve")
         listing = FunctionListing(
             name=str(func_data.get("name", "?")),
-            address=int(func_data.get("address", 0)),
+            address=_int_field(func_data, "address", 0),
         )
         for entry in _expect(func_data, "instructions", list):
             try:
                 address, text = entry
                 listing.instructions.append(
                     parse_instruction(str(text), address=int(address)))
-            except (AsmParseError, TypeError, ValueError) as error:
+            except (AsmParseError, TypeError, ValueError, OverflowError) as error:
                 raise RequestError(
                     f"bad instruction entry {entry!r}: {error}",
                     function=listing.name, stage="serve") from error
@@ -136,7 +136,7 @@ def binary_from_wire(data: object) -> Binary:
     return Binary(
         name=str(data.get("name", "uploaded")),
         compiler=str(data.get("compiler", "unknown")),
-        opt_level=int(data.get("opt_level", 0)),
+        opt_level=_int_field(data, "opt_level", 0),
         functions=functions,
     )
 
@@ -381,3 +381,11 @@ def _expect(data: dict, key: str, kind: type) -> object:
         raise RequestError(
             f"request field {key!r} must be a {kind.__name__}", stage="serve")
     return value
+
+
+def _int_field(data: dict, key: str, default: int) -> int:
+    try:
+        return int(data.get(key, default))
+    except (TypeError, ValueError, OverflowError) as error:
+        raise RequestError(f"request field {key!r} must be an integer: {error}",
+                           stage="serve") from error

@@ -5,13 +5,13 @@ windows, but one HTTP request usually carries one binary's worth. The
 scheduler closes that gap: handler threads :meth:`submit` one
 :class:`~repro.vuc.stream.VucStream` each (with its id tensor, when
 they already encoded it) and block; a single worker thread collects
-everything that arrives within ``CatiConfig.serve_max_delay_ms`` (up to
-``serve_max_batch`` windows) and scores them in **one**
-:meth:`~repro.core.engine.InferenceEngine.score` call, which re-encodes
-any request whose ids predate a reload.  Each request gets its own
-:class:`~repro.core.engine.Analysis` and votes its own rows, so grouping
-and summation order per request are exactly the offline
-``Cati.infer_binary`` path's.
+everything that arrives within ``max_delay_ms`` (up to ``max_batch``
+windows; ``repro serve --max-delay-ms`` / ``--max-batch``) and scores
+them in **one** :meth:`~repro.core.engine.InferenceEngine.score` call,
+which re-encodes any request whose ids predate a reload.  Each request
+gets its own :class:`~repro.core.engine.Analysis` and votes its own
+rows, so grouping and summation order per request are exactly the
+offline ``Cati.infer_binary`` path's.
 
 Admission control lives at :meth:`submit`: a bounded queue (by pending
 *requests*) raises :class:`~repro.core.errors.QueueFullError` carrying a
@@ -51,6 +51,12 @@ from repro.core.observability import SIZE_BUCKETS
 
 #: Fallback Retry-After hint before any batch latency was observed.
 _DEFAULT_RETRY_AFTER_S = 1.0
+
+#: Window budget per coalesced engine call (``repro serve --max-batch``).
+DEFAULT_MAX_BATCH = 4096
+
+#: Wait for more requests after the first (``repro serve --max-delay-ms``).
+DEFAULT_MAX_DELAY_MS = 5.0
 
 
 class PendingRequest:
@@ -92,11 +98,19 @@ class PendingRequest:
 class MicroBatchScheduler:
     """The bounded-queue micro-batching worker over a :class:`ModelHost`."""
 
-    def __init__(self, host, queue_limit: int = 64) -> None:
+    def __init__(self, host, queue_limit: int = 64, *,
+                 max_batch: int = DEFAULT_MAX_BATCH,
+                 max_delay_ms: float = DEFAULT_MAX_DELAY_MS) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if max_delay_ms < 0:
+            raise ValueError("max_delay_ms must be >= 0")
         self.host = host
         self.queue_limit = queue_limit
+        self.max_batch = max_batch
+        self.max_delay_ms = max_delay_ms
         self._queue: deque[PendingRequest] = deque()
         self._lock = threading.Lock()
         self._have_work = threading.Condition(self._lock)
@@ -203,8 +217,6 @@ class MicroBatchScheduler:
 
     def _collect(self) -> list[PendingRequest]:
         """One batch: first waiter, then whatever the delay window adds."""
-        config = self.host.config
-        max_windows = config.serve_max_batch
         with self._have_work:
             while not self._queue and not self._closed:
                 self._have_work.wait()
@@ -214,10 +226,10 @@ class MicroBatchScheduler:
             total = len(batch[0].stream)
             # Coalesce: keep gathering until the window budget is spent,
             # the delay elapses, or (draining) the queue is empty.
-            until = time.monotonic() + config.serve_max_delay_ms / 1000.0
-            while total < max_windows:
+            until = time.monotonic() + self.max_delay_ms / 1000.0
+            while total < self.max_batch:
                 if self._queue:
-                    if total + len(self._queue[0].stream) > max_windows:
+                    if total + len(self._queue[0].stream) > self.max_batch:
                         break
                     request = self._queue.popleft()
                     batch.append(request)
@@ -247,7 +259,7 @@ class MicroBatchScheduler:
         if not live:
             return
         try:
-            cati, engine, generation = self.host.acquire()
+            _cati, engine, generation = self.host.acquire()
             total = sum(len(r.stream) for r in live)
             started = time.monotonic()
             with observability.span("serve.batch"):
@@ -259,7 +271,7 @@ class MicroBatchScheduler:
                     [r.ids if r.generation == generation else None for r in live])
                 for request, analysis in zip(live, analyses):
                     request.finish(analysis)
-            if cati.config.metrics_enabled and observability.is_enabled():
+            if observability.is_enabled():
                 registry = observability.get_registry()
                 registry.inc("serve.batches")
                 registry.inc("serve.coalesced_requests", len(live))

@@ -53,8 +53,8 @@ from pathlib import Path
 
 import repro
 from repro.analysis import SessionStore, build_session, call_tool, mint_session_id
+from repro.analysis.store import DEFAULT_MAX_BYTES, DEFAULT_TTL_S
 from repro.core import observability
-from repro.core.config import CatiConfig
 from repro.core.errors import (
     ArtifactError,
     CatiError,
@@ -67,7 +67,7 @@ from repro.core.errors import (
 )
 from repro.serve import protocol
 from repro.serve.host import ModelHost
-from repro.serve.scheduler import MicroBatchScheduler
+from repro.serve.scheduler import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS, MicroBatchScheduler
 from repro.vuc.stream import extract_vuc_stream
 
 #: Request bodies past this size are refused with 413 before parsing.
@@ -289,8 +289,11 @@ class ServeDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        config: CatiConfig | None = None,
         queue_limit: int = 64,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_delay_ms: float = DEFAULT_MAX_DELAY_MS,
+        session_ttl_s: float = DEFAULT_TTL_S,
+        session_max_bytes: int = DEFAULT_MAX_BYTES,
         default_deadline_s: float | None = None,
         default_on_error: str = "skip",
         watch: bool = False,
@@ -310,19 +313,18 @@ class ServeDaemon:
         #: Log-line prefix; the pre-fork workers set "worker N" so their
         #: inherited stdout interleaves readably with the router's.
         self.log_label = log_label
-        self.model_host = ModelHost(model_dir, config=config, mmap=mmap,
+        self.model_host = ModelHost(model_dir, mmap=mmap,
                                     initial_generation=initial_generation)
-        self.scheduler = MicroBatchScheduler(self.model_host,
-                                             queue_limit=queue_limit)
+        self.scheduler = MicroBatchScheduler(
+            self.model_host, queue_limit=queue_limit,
+            max_batch=max_batch, max_delay_ms=max_delay_ms)
         #: Session stickiness under the pre-fork router: this daemon
         #: mints only session ids that hash back to its own slot
         #: (single daemon = slot 0 of 1, where every id matches).
         self._slot_index = slot_index
         self._slot_count = max(1, slot_count)
-        session_config = self.model_host.config
-        self.sessions = SessionStore(
-            ttl_s=session_config.session_ttl_s,
-            max_bytes=session_config.session_max_bytes)
+        self.sessions = SessionStore(ttl_s=session_ttl_s,
+                                     max_bytes=session_max_bytes)
         self.httpd = _Server((host, port), _Handler)
         self.httpd.daemon_ref = self
         self.draining = False
@@ -349,17 +351,15 @@ class ServeDaemon:
         for earlier batches is in flight.
         """
         kind = protocol.job_kind(request)
-        config = self.model_host.config
+        window = self.model_host.config.window
         if kind == "windows_packed":
             return protocol.stream_from_packed(
                 request["windows_packed"], request.get("variable_ids"),
-                config.window), None
+                window), None
         stripped, extents = self._binary_job(request, kind)
         with observability.span("serve.extract"):
-            stream = extract_vuc_stream(
-                stripped, extents, config.window,
-                on_error=on_error, failures=failures,
-                metrics=config.metrics_enabled)
+            stream = extract_vuc_stream(stripped, extents, window,
+                                        on_error=on_error, failures=failures)
         return stream, stripped.name
 
     def _binary_job(self, request: dict, kind: str):

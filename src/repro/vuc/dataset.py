@@ -182,7 +182,6 @@ def extract_unlabeled_vucs(
     window: int = DEFAULT_WINDOW,
     on_error: str = "raise",
     failures: FailureReport | None = None,
-    metrics: bool = True,
     sites: list[AccessSite] | None = None,
 ) -> list[tuple[str, tuple[Tokens, ...]]]:
     """Inference-side extraction: (variable_id, tokens) pairs.
@@ -196,7 +195,7 @@ def extract_unlabeled_vucs(
     """
     stream = extract_vuc_stream(stripped, extents_by_function, window,
                                 on_error=on_error, failures=failures,
-                                metrics=metrics, sites=sites is not None)
+                                sites=sites is not None)
     if sites is not None:
         sites.extend(stream.sites)
     return list(zip(stream.variable_ids, stream.windows()))

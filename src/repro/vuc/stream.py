@@ -104,7 +104,6 @@ def extract_vuc_stream(
     window: int = DEFAULT_WINDOW,
     on_error: str = "raise",
     failures: FailureReport | None = None,
-    metrics: bool = True,
     sites: bool = False,
 ) -> VucStream:
     """Inference-side extraction of one binary into a :class:`VucStream`.
@@ -119,15 +118,13 @@ def extract_vuc_stream(
     nothing to the stream, while every healthy function still adds its
     windows.
 
-    With ``metrics`` (callers pass ``CatiConfig.metrics_enabled``),
-    per-function ``locate`` and ``generalize`` spans are recorded into
+    Per-function ``locate`` and ``generalize`` spans are recorded into
     the global registry, nested under whatever span the caller holds.
     With ``sites``, one :class:`AccessSite` per window is collected into
     :attr:`VucStream.sites` for the posterior struct-recovery stage.
     """
     stream = VucStream(window)
-    registry = observability.get_registry() if metrics else observability.MetricsRegistry(
-        enabled=False)
+    registry = observability.get_registry()
     for func_index, func in enumerate(stripped.functions):
         extents = extents_by_function[func_index] if func_index < len(extents_by_function) else []
         if not extents:

@@ -392,13 +392,9 @@ class TestSessionTools:
 
 
 class TestSessionBoundsServed:
-    def test_ttl_expiry_end_to_end(self, analysis_bundle_dir, mini_config,
-                                   target):
-        import dataclasses
-
-        config = dataclasses.replace(mini_config, session_ttl_s=0.2)
+    def test_ttl_expiry_end_to_end(self, analysis_bundle_dir, target):
         daemon, thread, client = start_daemon(analysis_bundle_dir,
-                                              config=config)
+                                              session_ttl_s=0.2)
         try:
             stripped, extents = target
             handle = client.session(binary=stripped, extents=extents)
@@ -413,15 +409,12 @@ class TestSessionBoundsServed:
             stop_daemon(daemon, thread)
 
     def test_lru_eviction_under_concurrent_opens(self, analysis_bundle_dir,
-                                                 mini_config, target):
-        import dataclasses
-
+                                                 target):
         # Budget of one byte: any real session overflows it, so each
         # insert keeps only itself (the just-put session is never its
         # own victim) and every earlier session answers 410.
-        config = dataclasses.replace(mini_config, session_max_bytes=1)
         daemon, thread, client = start_daemon(analysis_bundle_dir,
-                                              config=config)
+                                              session_max_bytes=1)
         try:
             stripped, extents = target
             handles = []

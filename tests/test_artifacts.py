@@ -63,11 +63,9 @@ class TestRoundTrip:
     def test_matching_explicit_config_is_kept(self, bundle_dir, mini_config):
         import dataclasses
 
-        runtime = dataclasses.replace(
-            mini_config, metrics_enabled=False, max_batch=77)
+        runtime = dataclasses.replace(mini_config, confidence_threshold=0.75)
         loaded = Cati.load(str(bundle_dir), runtime)
-        assert loaded.config.metrics_enabled is False
-        assert loaded.config.max_batch == 77
+        assert loaded.config.confidence_threshold == 0.75
 
     def test_provenance_travels(self, mini_cati, bundle_dir, small_corpus):
         assert mini_cati.provenance["n_train_vucs"] == len(small_corpus.train)
@@ -119,12 +117,22 @@ def _inject_config(bundle_dir: Path, **fields) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+#: One value per retired CatiConfig field, as the manifests and batch
+#: job.json files of its day wrote it.
+OLD_FIELDS = {"n_workers": 4, "job_timeout": 5.0,
+              "quantize_embeddings": True, "tool_timeout": 30.0,
+              "tool_retries": 1, "posterior_enabled": True,
+              "max_batch": 1024, "dedup_cache_size": 65536,
+              "metrics_enabled": True, "serve_max_batch": 4096,
+              "serve_max_delay_ms": 5.0, "serve_workers": 0,
+              "posterior_min_accesses": 2, "session_ttl_s": 600.0,
+              "session_max_bytes": 268435456}
+
+
 class TestRetiredFields:
     """Manifests written before a CatiConfig field was retired still load."""
 
-    OLD_FIELDS = {"n_workers": 4, "job_timeout": 5.0,
-                  "quantize_embeddings": True, "tool_timeout": 30.0,
-                  "tool_retries": 1, "posterior_enabled": True}
+    OLD_FIELDS = OLD_FIELDS
 
     def test_old_manifest_loads_unchanged(self, bundle_dir, test_windows,
                                           caplog):

@@ -43,6 +43,7 @@ from repro.core.errors import (
     FailureReport,
 )
 from repro.core.toolchain import retry_delays, run_tool
+from tests.test_artifacts import OLD_FIELDS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -289,9 +290,7 @@ class TestJobLifecycle:
         first = run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
         store = BatchJobStore(job_dir)
         body = json.loads(store.job_path.read_text())
-        body["config"].update(n_workers=4, job_timeout=5.0,
-                              quantize_embeddings=True, tool_timeout=30.0,
-                              tool_retries=1, posterior_enabled=True)
+        body["config"].update(OLD_FIELDS)
         store.job_path.write_text(json.dumps(body))
         again = resume_job(job_dir)
         assert again["shards_run"] == 0

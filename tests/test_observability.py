@@ -385,12 +385,11 @@ def test_repeat_inference_hits_cache(mini_cati, fresh_global_registry):
 
 def test_metrics_disabled_config_skips_pipeline_metrics(mini_cati, fresh_global_registry):
     binary = GccCompiler().compile_fresh(seed=13, name="obs3", opt_level=1)
-    saved = mini_cati.config.metrics_enabled
-    mini_cati.config.metrics_enabled = False
+    observability.set_enabled(False)
     try:
         result = mini_cati.infer_binary(strip(binary), extents_from_debug(binary))
     finally:
-        mini_cati.config.metrics_enabled = saved
+        observability.set_enabled(True)
     assert len(result) > 0
     assert result.metrics is None
     snap = fresh_global_registry.snapshot()

@@ -10,13 +10,12 @@ its leaf-row cache off and a small chunk size, so every call recomputes
 every row and chunk boundaries move with the batch composition.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen import GccCompiler, strip
+from repro.core import engine as engine_module
 from repro.core.engine import InferenceEngine
 from repro.experiments.speed import extents_from_debug
 from repro.vuc.stream import extract_vuc_stream
@@ -26,8 +25,10 @@ TOL = 1e-6
 
 @pytest.fixture(scope="module")
 def engine(mini_cati):
-    config = dataclasses.replace(mini_cati.config, dedup_cache_size=0, max_batch=128)
-    return InferenceEngine(mini_cati.classifier, mini_cati.encoder, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "DEDUP_CACHE_SIZE", 0)
+        patch.setattr(engine_module, "MAX_BATCH", 128)
+        yield InferenceEngine(mini_cati.classifier, mini_cati.encoder, mini_cati.config)
 
 
 @pytest.fixture(scope="module")

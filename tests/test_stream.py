@@ -122,7 +122,7 @@ def assert_stream_matches(encoder, stripped, extents, on_error="raise"):
     """The stream and the reference agree on everything a consumer reads."""
     mine, theirs = FailureReport(), FailureReport()
     stream = extract_vuc_stream(stripped, extents, WINDOW, on_error=on_error,
-                                failures=mine, metrics=False, sites=True)
+                                failures=mine, sites=True)
     pairs, sites = reference_extract(stripped, extents, on_error=on_error,
                                      failures=theirs)
     assert stream.windows() == [tokens for _vid, tokens in pairs]
@@ -230,8 +230,7 @@ def test_infer_binary_matches_reference_votes_and_layouts(mini_cati):
         probs = engine.leaf_proba(windows)
         expected = predictions_from_probs(probs, variable_ids, config.confidence_threshold)
         layouts = recover_layouts(expected, probs, variable_ids, sites,
-                                  threshold=config.confidence_threshold,
-                                  min_accesses=config.posterior_min_accesses)
+                                  threshold=config.confidence_threshold)
         for structs in (False, True):
             engine.clear_cache()
             result = mini_cati.infer_binary(stripped, extents, structs=structs)

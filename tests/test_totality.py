@@ -1,0 +1,182 @@
+"""Totality: damaged input raises a typed error, never an untyped crash.
+
+Each parser that reads bytes or a request body from outside the process
+gets mutated copies of a well-formed input: bytes overwritten, inserted,
+deleted or cut short; JSON nodes replaced by values of any type, or
+removed.  Whatever happens, the only exceptions allowed out are
+:class:`~repro.core.errors.CatiError` subclasses, which every entry
+point maps to a failure record or a 4xx answer.  The examples are
+derandomized, so the suite is deterministic; raise ``max_examples``
+locally for a longer campaign.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.codegen import GccCompiler, strip
+from repro.core.errors import CatiError
+from repro.disasm.decoder import decode_function
+from repro.dwarf.native import parse_compile_units
+from repro.elf.parser import ElfFile
+from repro.experiments.speed import extents_from_debug
+from repro.serve import protocol
+from repro.vuc.dataset import extract_unlabeled_vucs
+from tests import faultinject as fi
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+#: A few common x86-64 encodings: prologue, moves through rbp, an SSE
+#: load, a call and a conditional jump, then leave/ret.
+CODE = bytes.fromhex(
+    "554889e5" "4883ec20" "897dfc" "8b45fc" "4889c7" "f20f1045f0"
+    "e800000000" "7405" "4801d0" "c9c3")
+
+
+def mutations(seed: bytes) -> st.SearchStrategy[bytes]:
+    """``seed`` with a few bytes overwritten, inserted or deleted, or cut short."""
+    edit = st.tuples(st.sampled_from(("set", "insert", "delete", "cut")),
+                     st.integers(0, len(seed)), st.integers(0, 255))
+
+    def apply(edits) -> bytes:
+        data = bytearray(seed)
+        for op, position, value in edits:
+            position = min(position, len(data))
+            if op == "set" and position < len(data):
+                data[position] = value
+            elif op == "insert":
+                data.insert(position, value)
+            elif op == "delete":
+                del data[position:position + 1]
+            elif op == "cut":
+                del data[position:]
+        return bytes(data)
+
+    return st.lists(edit, min_size=1, max_size=6).map(apply)
+
+
+#: Leaves of any JSON type, plus strings built from assembly and
+#: packed-window punctuation so text parsers see near-misses.
+LEAVES = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+          | st.text(max_size=12)
+          | st.text(alphabet="()$%,-+*:<>x0123456789abcdefr \t\n", max_size=30))
+JSON = st.recursive(LEAVES, lambda children: st.lists(children, max_size=3)
+                    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+                    max_leaves=6)
+
+
+def paths(node, prefix=()):
+    """Every (container-key) path into a JSON value, root excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def mutate_json(seed) -> st.SearchStrategy:
+    """``seed`` with up to three nodes replaced by arbitrary JSON or removed."""
+    every = list(paths(seed))
+
+    @st.composite
+    def mutated(draw):
+        body = copy.deepcopy(seed)
+        for _ in range(draw(st.integers(1, 3))):
+            path = draw(st.sampled_from(every))
+            parent = body
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                if draw(st.booleans()) and isinstance(parent, dict):
+                    parent.pop(path[-1], None)
+                else:
+                    parent[path[-1]] = draw(JSON)
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier edit removed or replaced this path
+        return body
+
+    return mutated()
+
+
+def typed_only(call) -> None:
+    try:
+        call()
+    except CatiError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def demo():
+    binary = GccCompiler().compile_fresh(seed=77, name="total", opt_level=1)
+    return strip(binary), extents_from_debug(binary)
+
+
+@pytest.fixture(scope="module")
+def wire_binary(demo):
+    """A small ``binary`` body, so structural nodes are a fair share of its paths."""
+    body = protocol.binary_to_wire(demo[0])
+    body["functions"] = body["functions"][:2]
+    for function in body["functions"]:
+        function["instructions"] = function["instructions"][:4]
+    return body
+
+
+@pytest.fixture(scope="module")
+def wire_windows(demo):
+    """A small ``windows_packed`` body at w = 2."""
+    pairs = extract_unlabeled_vucs(*demo, 2)[:6]
+    return {"windows_packed": protocol.pack_windows([tokens for _vid, tokens in pairs]),
+            "variable_ids": [vid for vid, _tokens in pairs]}
+
+
+ELF = fi.minimal_elf(
+    fi.GOOD_CODE + CODE, symbols=[("f", 0, len(fi.GOOD_CODE)), ("g", 5, len(CODE))],
+    extra_sections=[(".debug_info", fi.build_debug_info(2)),
+                    (".debug_abbrev", fi.build_abbrev())])
+
+
+@SETTINGS
+@given(data=mutations(ELF), on_error=st.sampled_from(("raise", "skip")))
+def test_elf_file(data, on_error):
+    def parse():
+        elf = ElfFile(data, on_error=on_error)
+        elf.symbols()
+        elf.dynamic_symbols()
+        elf.plt_map()
+        elf.has_debug_info  # noqa: B018 — the property reads section data
+        for symbol in elf.function_symbols():
+            elf.text_bytes_for(symbol)
+
+    typed_only(parse)
+
+
+@SETTINGS
+@given(code=mutations(CODE) | st.binary(max_size=64))
+def test_decode_function(code):
+    typed_only(lambda: decode_function(code, 0x401000))
+
+
+@SETTINGS
+@given(info=mutations(fi.build_debug_info(2)), abbrev=mutations(fi.build_abbrev()),
+       on_error=st.sampled_from(("raise", "skip")))
+def test_parse_compile_units(info, abbrev, on_error):
+    typed_only(lambda: parse_compile_units(info, abbrev, b"", b"", on_error=on_error))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_binary_from_wire(wire_binary, data):
+    body = data.draw(mutate_json(wire_binary))
+    typed_only(lambda: protocol.binary_from_wire(body))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_stream_from_packed(wire_windows, data):
+    body = data.draw(mutate_json(wire_windows))
+    typed_only(lambda: protocol.stream_from_packed(
+        body.get("windows_packed"), body.get("variable_ids"), 2))
