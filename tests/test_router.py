@@ -21,6 +21,7 @@ router to pay the spawn cost once.
 
 from __future__ import annotations
 
+import dataclasses
 import http.server
 import json
 import os
@@ -33,8 +34,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.codegen import GccCompiler, strip
+from repro.core import observability
 from repro.core.artifacts import ModelBundle
 from repro.core.pipeline import Cati
+from repro.experiments.speed import extents_from_debug
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.router import RouterDaemon
@@ -64,10 +68,9 @@ def router_expected(mini_cati, router_windows):
     return prediction_tuples(mini_cati.engine.score([stream])[0].predictions)
 
 
-@pytest.fixture(scope="module")
-def router(router_bundle_dir):
-    daemon = RouterDaemon(str(router_bundle_dir), port=0, workers=2,
-                          queue_limit=32)
+def start_router(bundle_dir, **options):
+    """A 2-worker router serving ``bundle_dir`` on a thread, plus a client."""
+    daemon = RouterDaemon(str(bundle_dir), port=0, workers=2, **options)
     thread = threading.Thread(target=daemon.run, daemon=True)
     thread.start()
     client = ServeClient(daemon.host, daemon.port, timeout=120)
@@ -78,10 +81,34 @@ def router(router_bundle_dir):
             break
         except OSError:
             time.sleep(0.05)
-    yield daemon, client
+    return daemon, thread, client
+
+
+def stop_router(daemon, thread) -> None:
     daemon.request_shutdown()
     thread.join(timeout=60)
     assert not thread.is_alive(), "router did not drain"
+
+
+@pytest.fixture(scope="module")
+def router(router_bundle_dir):
+    daemon, thread, client = start_router(router_bundle_dir, queue_limit=32)
+    yield daemon, client
+    stop_router(daemon, thread)
+
+
+@pytest.fixture(scope="module")
+def binary_job():
+    binary = GccCompiler().compile_fresh(seed=301, name="router-job", opt_level=0)
+    return strip(binary), extents_from_debug(binary)
+
+
+def vote_answers(predictions):
+    """``(variable_id, type, n_vucs)`` plus scores of wire or offline predictions."""
+    identities = prediction_tuples(predictions)
+    scores = [np.asarray(p["scores"] if isinstance(p, dict) else p.scores,
+                         dtype=np.float64) for p in predictions]
+    return identities, scores
 
 
 def wait_all_live(client, *, min_restarts=0, timeout=60.0):
@@ -208,6 +235,55 @@ class TestRouterServing:
         windows, variable_ids = router_windows
         response = client.infer_windows(windows, variable_ids)
         assert prediction_tuples(response["predictions"]) == router_expected
+
+
+class TestWorkerSettings:
+    """What a worker serves with comes from the router, not the spawn."""
+
+    def test_no_metrics_reaches_the_workers(self, router_bundle_dir, binary_job):
+        saved = observability.is_enabled()
+        observability.reset()
+        observability.set_enabled(False)
+        try:
+            daemon, thread, client = start_router(router_bundle_dir, queue_limit=8)
+            try:
+                response = client.infer_binary(*binary_job)
+                merged = client.metrics()
+            finally:
+                stop_router(daemon, thread)
+        finally:
+            observability.set_enabled(saved)
+        assert response["predictions"]
+        assert "engine.windows" not in merged["counters"]
+        assert not merged["counters"]
+        assert not merged["spans"]
+
+    def test_reload_serves_the_new_bundles_own_config(
+            self, router_bundle_dir, mini_cati, binary_job, tmp_path):
+        """Rolled and respawned workers both answer like an offline load
+        of the new bundle, threshold included."""
+        new_dir = tmp_path / "threshold"
+        config = dataclasses.replace(mini_cati.config, confidence_threshold=0.3)
+        Cati.load(str(router_bundle_dir), config=config).save(str(new_dir))
+        expected = vote_answers(Cati.load(str(new_dir)).infer_binary(*binary_job))
+        # The threshold moves the vote, so a worker on the old config shows.
+        assert (expected[0]
+                != vote_answers(mini_cati.infer_binary(*binary_job))[0])
+
+        daemon, thread, client = start_router(router_bundle_dir, queue_limit=8)
+        try:
+            assert client.reload(str(new_dir))["reloaded"] is True
+            os.kill(client.health()["workers"][0]["pid"], signal.SIGKILL)
+            health = wait_all_live(client, min_restarts=1)
+            for worker in health["workers"]:
+                direct = ServeClient("127.0.0.1", worker["port"], timeout=120)
+                identities, scores = vote_answers(
+                    direct.infer_binary(*binary_job)["predictions"])
+                assert identities == expected[0], f"worker {worker['id']}"
+                for ours, theirs in zip(scores, expected[1]):
+                    np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-6)
+        finally:
+            stop_router(daemon, thread)
 
 
 class TestSharedModelMemory:
