@@ -94,36 +94,51 @@ def parse_operand(text: str) -> Operand:
 
 
 def _split_operands(text: str) -> list[str]:
-    """Split an operand field on commas that are outside parentheses."""
+    """Split an operand field on commas that are outside parentheses.
+
+    Parts are stripped and empty ones dropped.  A comma splits where the
+    parentheses before it balance; after an unmatched ``)`` no comma
+    splits until a ``(`` matches it.
+    """
     parts: list[str] = []
+    pending: str | None = None
     depth = 0
-    current: list[str] = []
-    for char in text:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+    for piece in text.split(","):
+        pending = piece if pending is None else f"{pending},{piece}"
+        if "(" in piece or ")" in piece:
+            depth += piece.count("(") - piece.count(")")
+        if depth == 0:
+            part = pending.strip()
+            if part:
+                parts.append(part)
+            pending = None
+    if pending is not None and (part := pending.strip()):
+        parts.append(part)
+    return parts
 
 
-def parse_instruction(line: str, address: int = 0) -> Instruction:
-    """Parse one instruction line (no address prefix) into the IR."""
+#: Legacy prefixes objdump prints inline, stripped in this order.
+_PREFIXES = ("lock ", "rep ", "repz ", "repnz ", "bnd ", "data16 ")
+
+
+def parse_instruction(line: str, address: int = 0, *,
+                      memo: dict[str, Operand] | None = None) -> Instruction:
+    """Parse one instruction line (no address prefix) into the IR.
+
+    ``memo`` maps operand text to its parsed operand.  A caller parsing
+    many lines passes one dict, so each distinct operand text is parsed
+    once; operands are immutable, so the lines share them safely.
+    """
     line = line.strip()
     if not line:
         raise AsmParseError("empty line")
     # Drop objdump annotations like "# 0x..." comments.
-    line = line.split("#", 1)[0].strip()
-    # Skip legacy prefixes objdump prints inline.
-    for prefix in ("lock ", "rep ", "repz ", "repnz ", "bnd ", "data16 "):
-        if line.startswith(prefix):
-            line = line[len(prefix):].strip()
+    if "#" in line:
+        line = line.split("#", 1)[0].strip()
+    if line.startswith(_PREFIXES):
+        for prefix in _PREFIXES:
+            if line.startswith(prefix):
+                line = line[len(prefix):].strip()
     fields = line.split(None, 1)
     mnemonic = _NORMALIZED_MNEMONICS.get(fields[0], fields[0])
     if len(fields) == 1:
@@ -131,13 +146,18 @@ def parse_instruction(line: str, address: int = 0) -> Instruction:
     operand_text = fields[1].strip()
     if mnemonic in ("call", "callq") or mnemonic.startswith("j"):
         # The whole remainder is a single code target (may contain spaces).
-        return Instruction(
-            mnemonic=mnemonic,
-            operands=(parse_operand(operand_text),),
-            address=address,
-        )
-    operands = tuple(parse_operand(part) for part in _split_operands(operand_text))
-    return Instruction(mnemonic=mnemonic, operands=operands, address=address)
+        parts = [operand_text]
+    else:
+        parts = _split_operands(operand_text)
+    if memo is None:
+        memo = {}
+    operands = []
+    for part in parts:
+        operand = memo.get(part)
+        if operand is None:
+            operand = memo[part] = parse_operand(part)
+        operands.append(operand)
+    return Instruction(mnemonic=mnemonic, operands=tuple(operands), address=address)
 
 
 _OBJDUMP_LINE_RE = re.compile(r"^\s*([0-9a-fA-F]+):\s*((?:[0-9a-fA-F]{2}\s)+)\s*(.*)$")

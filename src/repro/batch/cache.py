@@ -189,10 +189,12 @@ class WindowCacheStore:
             "entries": [[key.hex(), index_of[name], offset]
                         for key, (name, offset) in self._entries.items()],
         }
+        # The digest covers the canonical body; the file is that same text
+        # with the digest added as one more key, so the body is encoded once.
         canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        body["sha256"] = sha256(canonical.encode("utf-8")).hexdigest()
+        digest = sha256(canonical.encode("utf-8")).hexdigest()
         atomic_write(self.directory / INDEX_NAME,
-                     json.dumps(body, sort_keys=True),
+                     f'{canonical[:-1]},"sha256":"{digest}"}}',
                      fsync=self._fsync)
 
     def _scan_segment(self, path: Path, start: int) -> None:

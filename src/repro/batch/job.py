@@ -122,13 +122,16 @@ class BatchJobStore:
         return self.shards_dir / f"{_shard_name(index)}.json"
 
     def write_checkpoint(self, index: int, payload: dict) -> None:
-        """Commit one shard's results atomically, self-checksummed."""
-        envelope = {
-            "format": CHECKPOINT_FORMAT,
-            "sha256": sha256_hex(canonical_json(payload)),
-            "payload": payload,
-        }
-        atomic_write(self.checkpoint_path(index), json.dumps(envelope))
+        """Commit one shard's results atomically, self-checksummed.
+
+        The envelope is written around the payload's canonical JSON, the
+        text its checksum digests, so the payload is encoded once.
+        """
+        canonical = canonical_json(payload)
+        atomic_write(self.checkpoint_path(index),
+                     f'{{"format": "{CHECKPOINT_FORMAT}", '
+                     f'"sha256": "{sha256_hex(canonical)}", '
+                     f'"payload": {canonical}}}')
         observability.inc("batch.checkpoints.committed")
 
     def read_checkpoint(self, index: int, *,
@@ -137,13 +140,13 @@ class BatchJobStore:
 
         ``None`` covers three distinct situations, each counted
         separately: the checkpoint was never written; it exists but is
-        torn/corrupt (partial write detected via the envelope checksum);
-        or it is valid but stale (``inputs_sha256`` no longer matches
-        ``expected_inputs`` — manifest or model drift).
+        torn, corrupt or undecodable (caught by the envelope checks and
+        checksum); or it is valid but stale (``inputs_sha256`` no longer
+        matches ``expected_inputs`` — manifest or model drift).
         """
         path = self.checkpoint_path(index)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as error:
@@ -151,16 +154,18 @@ class BatchJobStore:
                            path.name, error)
             observability.inc("batch.checkpoints.invalid")
             return None
+        payload = None
         try:
-            envelope = json.loads(raw)
-            assert isinstance(envelope, dict)
-            assert envelope.get("format") == CHECKPOINT_FORMAT
-            payload = envelope["payload"]
-            valid = envelope.get("sha256") == sha256_hex(canonical_json(payload))
-        except (ValueError, KeyError, AssertionError):
-            valid = False
-            payload = None
-        if not valid:
+            envelope = json.loads(raw.decode("utf-8"))
+            if (isinstance(envelope, dict)
+                    and envelope.get("format") == CHECKPOINT_FORMAT
+                    and isinstance(envelope.get("payload"), dict)
+                    and envelope.get("sha256")
+                    == sha256_hex(canonical_json(envelope["payload"]))):
+                payload = envelope["payload"]
+        except ValueError:  # includes UnicodeDecodeError
+            pass
+        if payload is None:
             logger.warning(
                 "checkpoint %s is partial or corrupt; discarding and "
                 "recomputing the shard", path.name)

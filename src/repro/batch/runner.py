@@ -230,25 +230,31 @@ def _execute(store: BatchJobStore, body: dict, cati: Cati, *,
     began = time.perf_counter()
     shards = spec.shards()
     ran = reused = 0
+    # Per shard: the payload reused from disk or committed by this run,
+    # None when quarantined.
+    payloads: list[dict | None] = []
     try:
         for index, shard in enumerate(shards):
             if store.is_quarantined(index):
                 logger.warning("shard %d is quarantined; skipping", index)
+                payloads.append(None)
                 continue
             expected = spec.shard_inputs_sha256(index, model_key)
-            if store.read_checkpoint(index, expected_inputs=expected) is not None:
+            payload = store.read_checkpoint(index, expected_inputs=expected)
+            if payload is not None:
                 reused += 1
                 observability.inc("batch.shards.reused")
-                continue
-            _attempt_shard(store, spec, cati, index, shard, expected,
-                           fault=fault, sleep=sleep)
-            ran += 1
+            else:
+                payload = _attempt_shard(store, spec, cati, index, shard, expected,
+                                         fault=fault, sleep=sleep)
+                ran += 1
+            payloads.append(payload)
     finally:
         if cache is not None:
             cache.close()
             cati.engine.attach_window_store(None)
     elapsed = time.perf_counter() - began
-    results = _merge(store, spec, model_key)
+    results = _merge(store, spec, model_key, payloads)
     results["elapsed_s"] = round(elapsed, 6)
     results["shards_run"] = ran
     results["shards_reused"] = reused
@@ -262,8 +268,11 @@ def _execute(store: BatchJobStore, body: dict, cati: Cati, *,
 def _attempt_shard(store: BatchJobStore, spec: JobSpec, cati: Cati,
                    index: int, shard: tuple[ManifestItem, ...],
                    expected: str, *, fault: FaultPlan | None,
-                   sleep: Callable[[float], None]) -> None:
-    """Run one shard to a committed checkpoint or into quarantine."""
+                   sleep: Callable[[float], None]) -> dict | None:
+    """Run one shard to a committed checkpoint or into quarantine.
+
+    Returns the committed payload, or None when the shard was quarantined.
+    """
     budget = spec.max_retries + 1
     # Seed per (job, shard): str seeding is stable across processes, so
     # the backoff schedule a resumed job sleeps is the schedule the
@@ -296,7 +305,7 @@ def _attempt_shard(store: BatchJobStore, spec: JobSpec, cati: Cati,
                     f"shard {index} exhausted its {budget} attempt(s) "
                     "and was quarantined",
                     job_dir=str(store.job_dir), shard=index, stage="batch")
-            return
+            return None
         attempt = store.bump_attempts(index)
         observability.inc("batch.shards.attempts")
         try:
@@ -323,7 +332,7 @@ def _attempt_shard(store: BatchJobStore, spec: JobSpec, cati: Cati,
             if fault is not None:
                 fault.fire(store, index, "post-commit")
             observability.inc("batch.shards.committed")
-            return
+            return payload
         except Exception as exc:
             history.record(exc, stage="batch")
             remaining = budget - store.attempts(index)
@@ -334,22 +343,25 @@ def _attempt_shard(store: BatchJobStore, spec: JobSpec, cati: Cati,
                 sleep(delays[min(attempt - 1, len(delays) - 1)])
 
 
-def _merge(store: BatchJobStore, spec: JobSpec, model_key: str) -> dict:
-    """Fold every committed checkpoint into one results document."""
+def _merge(store: BatchJobStore, spec: JobSpec, model_key: str,
+           payloads: list[dict | None]) -> dict:
+    """Fold the shards' checkpoint payloads into one results document.
+
+    ``payloads`` holds one entry per shard, as :func:`_execute` collected
+    them: reused from disk, committed by this run, or None.
+    """
     shards = spec.shards()
     predictions: dict[str, list[dict]] = {}
     layouts: dict[str, list[dict]] = {}
     failure_dicts: list[dict] = []
     quarantined: list[int] = []
     missing: list[int] = []
-    for index, shard in enumerate(shards):
+    for index, (shard, payload) in enumerate(zip(shards, payloads)):
         if store.is_quarantined(index):
             quarantined.append(index)
             info = store.read_quarantine(index) or {}
             failure_dicts.extend(info.get("failures", []))
             continue
-        expected = spec.shard_inputs_sha256(index, model_key)
-        payload = store.read_checkpoint(index, expected_inputs=expected)
         if payload is None:
             missing.append(index)
             continue

@@ -112,10 +112,16 @@ def binary_to_wire(binary: Binary) -> dict:
 
 
 def binary_from_wire(data: object) -> Binary:
-    """Rebuild a stripped :class:`Binary` from :func:`binary_to_wire` data."""
+    """Rebuild a stripped :class:`Binary` from :func:`binary_to_wire` data.
+
+    Each distinct operand text is parsed once per call: the memo lives
+    only as long as this call, so parsing the same body twice does the
+    same work twice.
+    """
     if not isinstance(data, dict):
         raise RequestError("'binary' must be an object", stage="serve")
     functions: list[FunctionListing] = []
+    memo: dict = {}
     for func_data in _expect(data, "functions", list):
         if not isinstance(func_data, dict):
             raise RequestError("each function must be an object", stage="serve")
@@ -127,7 +133,7 @@ def binary_from_wire(data: object) -> Binary:
             try:
                 address, text = entry
                 listing.instructions.append(
-                    parse_instruction(str(text), address=int(address)))
+                    parse_instruction(str(text), address=int(address), memo=memo))
             except (AsmParseError, TypeError, ValueError, OverflowError) as error:
                 raise RequestError(
                     f"bad instruction entry {entry!r}: {error}",

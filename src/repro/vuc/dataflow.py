@@ -67,27 +67,30 @@ def group_targets(
     with no targets at all are omitted (they produce no VUCs, hence no
     prediction — the paper's corpora count only variables with ≥1 VUC).
     """
-    # base register -> (sorted start offsets, extents in that order).
-    by_base: dict[str, tuple[list[int], list[VariableExtent]]] = {}
+    # base register -> (sorted start offsets, extents and their variable
+    # ids in that order); each id is built once per extent.
+    by_base: dict[str, tuple[list[int], list[VariableExtent], list[str]]] = {}
     for extent in sorted(extents, key=lambda e: (e.base, e.offset)):
-        offsets, ordered = by_base.setdefault(extent.base, ([], []))
+        offsets, ordered, ids = by_base.setdefault(extent.base, ([], [], []))
         offsets.append(extent.offset)
         ordered.append(extent)
+        ids.append(f"{scope}::{extent.base}{extent.offset:+d}")
 
     groups: dict[str, VariableGroup] = {}
     for target in targets:
         entry = by_base.get(target.base)
         if entry is None:
             continue
-        offsets, ordered = entry
-        hi = bisect_right(offsets, target.offset)
-        for extent in ordered[:hi]:
-            if extent.contains(target.base, target.offset):
-                variable_id = f"{scope}::{extent.base}{extent.offset:+d}"
+        offsets, ordered, ids = entry
+        disp = target.offset
+        # Every extent before the bisect point starts at or below disp.
+        for position in range(bisect_right(offsets, disp)):
+            extent = ordered[position]
+            if disp < extent.offset + extent.size:
+                variable_id = ids[position]
                 group = groups.get(variable_id)
                 if group is None:
-                    group = VariableGroup(variable_id=variable_id, extent=extent)
-                    groups[variable_id] = group
+                    group = groups[variable_id] = VariableGroup(variable_id, extent)
                 group.targets.append(target)
                 break
     return list(groups.values())
