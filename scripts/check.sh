@@ -2,6 +2,7 @@
 # Local quality gate: lint + the tier-1 test suite.
 #
 # Usage: scripts/check.sh [--faults | --docs | --serve | --smoke | --batch | --structs | --repl] [extra pytest args...]
+#        scripts/check.sh --bench-compare PARENT CHANGE [--claim WORKLOAD:METRIC ...]
 #
 #   --faults   run the fault-injection suite (tests/test_fault_tolerance.py:
 #              tool timeouts, corrupt ELF, truncated DWARF, undecodable
@@ -40,6 +41,13 @@
 #              byte-for-byte against the offline pipeline; TTL expiry
 #              surfaces a retriable 410 the REPL recovers from; the
 #              interactive p50/p99 lands in BENCH_speed.json.
+#   --bench-compare PARENT CHANGE
+#              compare e2ebench result files of a parent commit and a
+#              change (scripts/bench_compare.py): per workload and metric
+#              the medians, quartiles, ratio and pair wins; fails when an
+#              end-to-end metric is worse than its BENCHMARK.json bound or
+#              a --claim WORKLOAD:METRIC misses the 9-of-10-pairs,
+#              beyond-the-parent's-IQR rule.
 #
 # Lint is a hard gate: when ruff is installed, any finding fails the
 # script (set -e).  When ruff is absent we warn and continue, because
@@ -55,7 +63,10 @@ SMOKE=0
 BATCH=0
 STRUCTS=0
 REPL=0
-if [[ "${1:-}" == "--faults" ]]; then
+if [[ "${1:-}" == "--bench-compare" ]]; then
+    shift
+    exec python scripts/bench_compare.py "$@"
+elif [[ "${1:-}" == "--faults" ]]; then
     FAULTS=1
     shift
 elif [[ "${1:-}" == "--docs" ]]; then

@@ -34,8 +34,10 @@ from repro.batch import (
     resume_job,
     run_job,
 )
+from repro.batch.job import CHECKPOINT_FORMAT
 from repro.batch.runner import FaultPlan
-from repro.batch.spec import ManifestItem
+from repro.batch.spec import ManifestItem, canonical_json, sha256_hex
+from repro.core import observability
 from repro.core.errors import (
     BatchError,
     ConfigMismatchError,
@@ -213,6 +215,16 @@ class TestFaultPlan:
 # -- in-process job lifecycle ------------------------------------------------------
 
 
+def invalid_count() -> float:
+    return observability.snapshot()["counters"].get("batch.checkpoints.invalid", 0)
+
+
+def without_run_counts(results: dict) -> dict:
+    """A results document without the fields that differ between runs."""
+    return {key: value for key, value in results.items()
+            if key not in ("elapsed_s", "shards_run", "shards_reused")}
+
+
 def small_spec(n=3, **kwargs):
     kwargs.setdefault("shard_size", 2)
     kwargs.setdefault("backoff", 0.0)
@@ -311,6 +323,30 @@ class TestJobLifecycle:
         assert resumed["shards_run"] == 1
         assert resumed["predictions"] == first["predictions"]
 
+    def test_undecodable_checkpoint_is_invalid_then_recomputed(
+            self, tmp_path, mini_bundle_dir):
+        job_dir = tmp_path / "job"
+        first = run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
+        path = BatchJobStore(job_dir).checkpoint_path(1)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF  # one flipped byte: no longer UTF-8
+        path.write_bytes(bytes(data))
+        before = invalid_count()
+        status = job_status(job_dir)
+        assert status["shards"]["invalid"] == [1]
+        assert invalid_count() == before + 1
+        resumed = resume_job(job_dir)
+        assert (resumed["shards_run"], resumed["shards_reused"]) == (1, 1)
+        on_disk = without_run_counts(json.loads((job_dir / "results.json").read_text()))
+        expected = without_run_counts(first)
+        # The damaged commit is enumerated as an attempt that committed
+        # nothing; everything else equals the uninterrupted run.
+        records = on_disk.pop("failures")["records"]
+        assert expected.pop("failures")["records"] == []
+        assert on_disk == expected
+        assert len(records) == 1
+        assert "died without committing" in records[0]["message"]
+
     def test_tampered_model_key_rejected_then_rebound(self, tmp_path,
                                                       mini_bundle_dir):
         job_dir = tmp_path / "job"
@@ -371,6 +407,36 @@ class TestJobLifecycle:
         spec = small_spec(2, on_error="raise", max_retries=0)
         with pytest.raises(BatchError, match="quarantined"):
             run_job(tmp_path / "job", spec, model_dir=mini_bundle_dir)
+
+
+class TestCheckpointEnvelope:
+    PAYLOAD = {"shard": 0, "inputs_sha256": "ab" * 32, "items": ["x"],
+               "predictions": [[{"variable_id": "x/0::rbp-8", "predicted": "int",
+                                 "n_vucs": 2, "scores": [0.1, -0.0, 1e-300]}]],
+               "failures": [], "attempts": 1}
+
+    def test_reads_back_what_it_wrote_and_the_earlier_encoding(self, tmp_path):
+        store = BatchJobStore(tmp_path / "job")
+        store.write_checkpoint(0, self.PAYLOAD)
+        assert store.read_checkpoint(0, expected_inputs="ab" * 32) == self.PAYLOAD
+        # Earlier versions dumped the whole envelope with default separators.
+        store.checkpoint_path(1).write_text(json.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "sha256": sha256_hex(canonical_json(self.PAYLOAD)),
+            "payload": self.PAYLOAD}))
+        assert store.read_checkpoint(1, expected_inputs="ab" * 32) == self.PAYLOAD
+
+    @pytest.mark.parametrize("payload", [["not", "an", "object"], "text", 7, None])
+    def test_checksum_valid_non_object_payload_is_invalid(self, tmp_path, payload):
+        store = BatchJobStore(tmp_path / "job")
+        store.shards_dir.mkdir(parents=True)
+        store.checkpoint_path(0).write_text(json.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "sha256": sha256_hex(canonical_json(payload)),
+            "payload": payload}))
+        before = invalid_count()
+        assert store.read_checkpoint(0, expected_inputs="ab" * 32) is None
+        assert invalid_count() == before + 1
 
 
 # -- SIGKILL / resume (subprocess) -------------------------------------------------

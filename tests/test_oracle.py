@@ -6,12 +6,14 @@ each other entry point: the daemon's ``binary``, ``windows_packed`` and
 ``demo`` jobs, an analysis session (``type_variable`` for every
 variable, then ``struct_layouts``), ``repro infer --json --structs``,
 a two-worker router serving ``binary`` jobs and a session walk (sticky
-routing), and ``batch.run_job(structs=True)``.  Every entry point is
-reduced to one canonical form and compared with the reference: variable
-id, type and VUC count exactly, vote scores to 1e-6 (a request coalesced
-into another batch composition may move leaf probabilities at the ~1e-8
-level), struct layouts where the entry point recovers them, and
-failures as (stage, kind, function).
+routing), ``batch.run_job(structs=True)``, and a ``repro batch run``
+SIGKILLed right after a shard commits, then resumed (its results merge
+shards read back from disk with a shard computed in memory).  Every
+entry point is reduced to one canonical form and compared with the
+reference: variable id, type and VUC count exactly, vote scores to 1e-6
+(a request coalesced into another batch composition may move leaf
+probabilities at the ~1e-8 level), struct layouts where the entry point
+recovers them, and failures as (stage, kind, function).
 """
 
 from __future__ import annotations
@@ -20,13 +22,18 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.batch import JobSpec, run_job
+from repro.batch import JobSpec, resume_job, run_job
 from repro.batch.spec import ManifestItem
 from repro.cli import main as cli_main
 from repro.serve import protocol
@@ -41,6 +48,7 @@ CORPUS = tuple(ManifestItem(kind="demo", name=f"oracle-{seed}", seed=seed,
                for level, seed in enumerate((301, 302, 303)))
 
 TOLERANCE = 1e-6
+REPO = Path(__file__).resolve().parent.parent
 
 
 def canonical(predictions, layouts=None, failures=()) -> dict:
@@ -223,7 +231,29 @@ def _router_2w_session(env) -> dict:
 
 def _batch(env) -> dict:
     spec = JobSpec(items=CORPUS, structs=True, shard_size=2, backoff=0.0)
-    results = run_job(env.tmp_path / "job", spec, model_dir=str(env.bundle_dir))
+    return _batch_answers(run_job(env.tmp_path / "job", spec,
+                                  model_dir=str(env.bundle_dir)))
+
+
+def _batch_resume(env) -> dict:
+    """One shard per binary; killed right after shard 1 commits, then resumed."""
+    manifest = env.tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"items": [item.to_dict() for item in CORPUS]}))
+    job_dir = env.tmp_path / "job"
+    killed = subprocess.run(
+        [sys.executable, "-m", "repro", "batch", "run", "--job-dir", str(job_dir),
+         "--model-dir", str(env.bundle_dir), "--manifest", str(manifest),
+         "--shard-size", "1", "--structs", "--no-cache"],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+             "REPRO_BATCH_FAULT": "kill:shard=1:point=post-commit"},
+        cwd=REPO, capture_output=True, text=True, timeout=600)
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    results = resume_job(job_dir)
+    assert (results["shards_reused"], results["shards_run"]) == (2, 1)
+    return _batch_answers(results)
+
+
+def _batch_answers(results: dict) -> dict:
     records = results["failures"]["records"]
     return {item.name: canonical(
                 results["predictions"][item.name],
@@ -241,10 +271,11 @@ RUNNERS = {
     "router-2w-binary": _router_2w_binary,
     "router-2w-session": _router_2w_session,
     "batch": _batch,
+    "batch-resume": _batch_resume,
 }
 
 #: Entry points that run the posterior stage and answer with layouts.
-POSTERIOR = ("session", "cli-json", "router-2w-session", "batch")
+POSTERIOR = ("session", "cli-json", "router-2w-session", "batch", "batch-resume")
 
 
 @pytest.mark.parametrize("entry", tuple(RUNNERS))

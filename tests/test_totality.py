@@ -5,18 +5,26 @@ gets mutated copies of a well-formed input: bytes overwritten, inserted,
 deleted or cut short; JSON nodes replaced by values of any type, or
 removed.  Whatever happens, the only exceptions allowed out are
 :class:`~repro.core.errors.CatiError` subclasses, which every entry
-point maps to a failure record or a 4xx answer.  The examples are
-derandomized, so the suite is deterministic; raise ``max_examples``
+point maps to a failure record or a 4xx answer.  A batch job's
+checkpoints and its durable window cache come back from disk, where a
+crash or a bad sector may have damaged them: a damaged file must read
+as missing, never raise and never yield a wrong answer.  The examples
+are derandomized, so the suite is deterministic; raise ``max_examples``
 locally for a longer campaign.
 """
 
 from __future__ import annotations
 
 import copy
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.batch.cache import INDEX_NAME, WindowCacheStore
+from repro.batch.job import BatchJobStore
 from repro.codegen import GccCompiler, strip
 from repro.core.errors import CatiError
 from repro.disasm.decoder import decode_function
@@ -180,3 +188,61 @@ def test_stream_from_packed(wire_windows, data):
     body = data.draw(mutate_json(wire_windows))
     typed_only(lambda: protocol.stream_from_packed(
         body.get("windows_packed"), body.get("variable_ids"), 2))
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A committed checkpoint's bytes and the payload it holds."""
+    payload = {"shard": 0, "inputs_sha256": "5e" * 32, "items": ["total"],
+               "predictions": [[{"variable_id": "total/0::rbp-8", "predicted": "int",
+                                 "n_vucs": 3, "scores": [0.25, 0.5, 1e-9]}]],
+               "failures": [], "attempts": 1,
+               "layouts": [[{"object_id": "total/0::rbp-8", "n_accesses": 2}]]}
+    store = BatchJobStore(tmp_path_factory.mktemp("job"))
+    store.write_checkpoint(0, payload)
+    return store.checkpoint_path(0).read_bytes(), payload
+
+
+@SETTINGS
+@given(data=st.data())
+def test_read_checkpoint(checkpoint, data):
+    raw, payload = checkpoint
+    with tempfile.TemporaryDirectory() as directory:
+        store = BatchJobStore(directory)
+        store.shards_dir.mkdir()
+        store.checkpoint_path(0).write_bytes(data.draw(mutations(raw)))
+        got = store.read_checkpoint(0, expected_inputs=payload["inputs_sha256"])
+    assert got is None or got == payload
+
+
+@pytest.fixture(scope="module")
+def window_cache(tmp_path_factory):
+    """A closed store's files (index and one segment) and the rows it holds."""
+    rows = {bytes([i]) * 4: np.arange(3, dtype=np.float64) + i for i in range(4)}
+    directory = tmp_path_factory.mktemp("cache")
+    with WindowCacheStore(directory, "model", row_len=3, fsync=False) as store:
+        store.put_many(list(rows.items()))
+    files = {path.name: path.read_bytes() for path in (directory / "model").iterdir()}
+    assert INDEX_NAME in files and len(files) == 2
+    return files, rows
+
+
+@SETTINGS
+@given(data=st.data(), damaged=st.sampled_from(("index", "segment", "both")))
+def test_window_cache_store(window_cache, data, damaged):
+    files, rows = window_cache
+    with tempfile.TemporaryDirectory() as directory:
+        namespace = Path(directory) / "model"
+        namespace.mkdir()
+        for name, content in files.items():
+            if damaged == "both" or (damaged == "index") == (name == INDEX_NAME):
+                content = data.draw(mutations(content))
+            (namespace / name).write_bytes(content)
+        store = WindowCacheStore(directory, "model", row_len=3, fsync=False)
+        try:
+            got = store.get_many([*rows, b"absent"])
+        finally:
+            store.close()
+    assert got.keys() <= rows.keys()
+    for raw, row in got.items():
+        assert row.tobytes() == rows[raw].tobytes()
