@@ -13,7 +13,9 @@ launched as real ``python -m repro serve`` subprocesses:
    ``Cati.infer_binary`` on the binary the windows come from;
 3. ``POST /v1/reload`` — generation bumps without dropping traffic
    (multi-worker: the generation fence rolls every worker);
-4. SIGTERM — the daemon drains and exits 0.
+4. SIGTERM — the daemon drains and exits 0;
+5. the bundle directory still holds exactly its manifest and the
+   payloads it lists: serving writes nothing into it.
 
 Exit status is the smoke's verdict, so CI can run it directly.
 """
@@ -26,11 +28,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.codegen.compilers import GccCompiler  # noqa: E402
 from repro.codegen.strip import strip  # noqa: E402
+from repro.core.artifacts import MANIFEST_NAME, ModelBundle  # noqa: E402
 from repro.core.config import CatiConfig  # noqa: E402
 from repro.core.pipeline import Cati  # noqa: E402
 from repro.datasets.corpus import build_small_corpus  # noqa: E402
@@ -85,11 +89,7 @@ def walk(bundle_dir: str, workers: int, windows, variable_ids,
             live = health.get("workers_live")
             if live != workers:
                 fail(f"expected {workers} live workers, healthz says {live}")
-            if not all(w.get("mmap") for w in health["workers"]):
-                fail(f"workers are not serving the mmap'd mirror: "
-                     f"{health['workers']}")
-            print(f"smoke_serve: {live} workers live, all mmap-backed",
-                  flush=True)
+            print(f"smoke_serve: {live} workers live", flush=True)
 
         response = client.infer_windows(windows, variable_ids)
         served = [(p["variable_id"], p["type"], p["n_vucs"])
@@ -124,6 +124,20 @@ def walk(bundle_dir: str, workers: int, windows, variable_ids,
     finally:
         if process.poll() is None:
             process.kill()
+    check_bundle_untouched(bundle_dir, tag)
+
+
+def check_bundle_untouched(bundle_dir: str, tag: str) -> None:
+    """The bundle lists exactly its manifest and the manifest's payloads."""
+    root = Path(bundle_dir)
+    listed = sorted(str(path.relative_to(root))
+                    for path in root.rglob("*") if path.is_file())
+    expected = sorted([MANIFEST_NAME, *ModelBundle.open(root).manifest["files"]])
+    if listed != expected:
+        fail(f"serving ({tag}) changed the bundle directory: extra "
+             f"{sorted(set(listed) - set(expected))}, missing "
+             f"{sorted(set(expected) - set(listed))}")
+    print(f"smoke_serve: bundle directory untouched ({tag})", flush=True)
 
 
 def main() -> None:

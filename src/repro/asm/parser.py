@@ -135,6 +135,8 @@ def parse_instruction(line: str, address: int = 0, *,
     # Drop objdump annotations like "# 0x..." comments.
     if "#" in line:
         line = line.split("#", 1)[0].strip()
+        if not line:
+            raise AsmParseError("empty line")
     if line.startswith(_PREFIXES):
         for prefix in _PREFIXES:
             if line.startswith(prefix):

@@ -246,12 +246,6 @@ class BatchJobStore:
         atomic_write(self.results_path,
                      json.dumps(body, indent=2, sort_keys=True))
 
-    def read_results(self) -> dict | None:
-        try:
-            return json.loads(self.results_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-
     def status(self) -> dict:
         """Scan the job directory into a human/machine-readable summary."""
         body = self.open()

@@ -160,9 +160,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 0:
         raise ValueError("--workers must be >= 0 (0 = auto)")
     workers = args.workers or max(1, min(os.cpu_count() or 1, 4))
-    # mmap default: on for the pre-fork router (that is the point of the
-    # shared mirror), off for the classic in-process daemon unless asked.
-    mmap = args.mmap if args.mmap is not None else workers > 1
     options = dict(
         host=args.host,
         port=args.port,
@@ -176,7 +173,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         watch=args.watch,
         watch_interval_s=args.watch_interval,
         verbose=args.verbose,
-        mmap=mmap,
     )
     if workers <= 1:
         # Today's in-process daemon: one process, one engine, no router.
@@ -460,10 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes behind the router "
                             "(default: min(cores, 4); 1 = classic "
                             "in-process daemon)")
-    serve.add_argument("--mmap", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="memory-map bundle payloads via the shared "
-                            ".npy mirror (default: on with workers > 1)")
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="pending requests beyond this are answered 503")
     serve.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,

@@ -122,9 +122,6 @@ class LoweredFunction:
     truth: list[tuple[int, int]] = field(default_factory=list)  # (ins idx, var idx)
     member_truth: list[MemberTruth] = field(default_factory=list)
 
-    def truth_by_instruction(self) -> dict[int, int]:
-        return dict(self.truth)
-
     def member_truth_by_instruction(self) -> dict[int, MemberTruth]:
         return {record.instruction_index: record for record in self.member_truth}
 

@@ -24,7 +24,13 @@ Design contract:
   torn temp dir is not even a bundle).
 * **Checksum-verified loads** — every payload's SHA-256 is checked
   against the manifest before its arrays are deserialized; a flipped
-  byte raises :class:`~repro.core.errors.BundleIntegrityError`.
+  byte raises :class:`~repro.core.errors.BundleIntegrityError`.  There
+  is one load path (:meth:`ModelBundle._load_arrays`), shared by
+  offline ``Cati.load`` and every serving process.
+* **Read-only after save** — nothing but :meth:`ModelBundle.save`
+  writes into a bundle directory.  A ``.shared/`` directory left by an
+  earlier version (an uncompressed mirror it memory-mapped) is never
+  read and may be deleted.
 * **The saved config wins** — ``manifest.json`` freezes the full
   :class:`~repro.core.config.CatiConfig` at save time and
   :meth:`resolve_config` restores it on load.  A caller-supplied config
@@ -46,7 +52,6 @@ docs/OPERATIONS.md §6.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -82,12 +87,6 @@ MANIFEST_NAME = "manifest.json"
 EMBEDDING_FILE = "word2vec.npz"
 STAGES_DIR = "stages"
 
-#: Hidden cache of uncompressed ``.npy`` mirrors used by the mmap load
-#: path (:meth:`ModelBundle.load_shared`); keyed by content key so a
-#: re-saved bundle gets a fresh cache.  Dot-prefixed so bundle watchers
-#: and integrity checks ignore it.
-SHARED_DIR = ".shared"
-
 #: CatiConfig fields that determine tensor shapes / inference semantics.
 #: These must match the manifest on load; everything else is the
 #: caller's business (timeouts, metrics, training knobs, ...).
@@ -117,7 +116,13 @@ def _repro_version() -> str:
 
 
 class ModelBundle:
-    """One versioned model artifact directory (see module docstring)."""
+    """One versioned model artifact directory (see module docstring).
+
+    Payloads load only through :meth:`load_embedding` and
+    :meth:`load_classifier_state`, which checksum-verify each file
+    first: the single daemon, every router worker, every respawn and
+    every reload load exactly what offline ``Cati.load`` does.
+    """
 
     def __init__(self, directory: str | Path, manifest: dict) -> None:
         self.directory = Path(directory)
@@ -259,104 +264,6 @@ class ModelBundle:
                     path=str(self.directory), stage="artifacts")
         return arrays
 
-    # -- shared (memory-mapped) payloads -----------------------------------------
-
-    def shared_dir(self) -> Path:
-        """Where this bundle's uncompressed ``.npy`` mirrors live.
-
-        ``<bundle>/.shared/<content_key[:16]>/`` — the key in the path
-        means a retrained bundle saved over the same directory gets a
-        fresh cache and stale mirrors are never mmapped by mistake.
-        """
-        return self.directory / SHARED_DIR / self.content_key()[:16]
-
-    def ensure_shared_arrays(self) -> Path:
-        """Materialize every payload as uncompressed ``.npy`` files, once.
-
-        ``np.load(..., mmap_mode="r")`` silently ignores ``mmap_mode``
-        for compressed ``.npz`` members, so sharing weights across
-        worker processes needs a flat ``.npy`` mirror the OS page cache
-        can back.  The mirror is built from checksum-verified payloads
-        (:meth:`_load_arrays`), staged in a temp directory and promoted
-        with a single rename — concurrent materializers race benignly
-        (first rename wins, losers discard their staging).  Idempotent:
-        a completed mirror returns immediately.
-        """
-        target = self.shared_dir()
-        marker = target / "complete.json"
-        if marker.is_file():
-            return target
-        parent = target.parent
-        parent.mkdir(parents=True, exist_ok=True)
-        staging = parent / f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        with observability.span("bundle.materialize_shared"):
-            try:
-                for name in sorted(self.manifest["files"]):
-                    arrays = self._load_arrays(name)
-                    subdir = staging / name
-                    subdir.mkdir(parents=True)
-                    for key, value in arrays.items():
-                        np.save(subdir / f"{key}.npy", np.asarray(value))
-                (staging / "complete.json").write_text(
-                    json.dumps({"content_key": self.content_key(),
-                                "created_at": _utc_now()}) + "\n",
-                    encoding="utf-8")
-                try:
-                    os.rename(staging, target)
-                except OSError:
-                    if not marker.is_file():  # not a lost race: real failure
-                        raise
-            except ArtifactError:
-                shutil.rmtree(staging, ignore_errors=True)
-                raise
-            except Exception as error:
-                shutil.rmtree(staging, ignore_errors=True)
-                raise ArtifactError(
-                    f"shared-array materialization failed: {error}",
-                    path=str(self.directory), stage="artifacts") from error
-            finally:
-                shutil.rmtree(staging, ignore_errors=True)
-        observability.inc("bundle.shared_materializations")
-        return target
-
-    def load_shared(self, name: str) -> dict[str, np.ndarray]:
-        """Load payload ``name`` with numeric arrays memory-mapped.
-
-        The returned dict mirrors :meth:`_load_arrays` but numeric
-        tensors are read-only ``np.memmap`` views over the shared
-        ``.npy`` mirror — N processes loading the same bundle share one
-        set of physical pages.  Object-dtype arrays (the vocab token
-        list) cannot be memory-mapped and fall back to a regular load.
-        Shapes are still validated against the manifest.
-        """
-        if name not in self.manifest["files"]:
-            raise BundleIntegrityError(
-                f"manifest does not list payload {name!r}",
-                path=str(self.directory), stage="artifacts")
-        root = self.ensure_shared_arrays() / name
-        expected = self.manifest["files"][name].get("tensors", {})
-        arrays: dict[str, np.ndarray] = {}
-        for key, shape in expected.items():
-            path = root / f"{key}.npy"
-            try:
-                try:
-                    arrays[key] = np.load(path, mmap_mode="r")
-                except ValueError:  # object dtype: not mappable
-                    arrays[key] = np.load(path, allow_pickle=True)
-            except Exception as error:
-                raise BundleIntegrityError(
-                    f"shared payload {name}/{key} is unreadable: {error}; "
-                    f"delete {self.directory / SHARED_DIR} to rebuild",
-                    path=str(self.directory), stage="artifacts") from error
-            actual = list(arrays[key].shape)
-            if actual != list(shape):
-                raise BundleIntegrityError(
-                    f"shared payload {name}/{key} has shape {actual}, "
-                    f"manifest says {list(shape)}; "
-                    f"delete {self.directory / SHARED_DIR} to rebuild",
-                    path=str(self.directory), stage="artifacts")
-        return arrays
-
     # -- config ------------------------------------------------------------------
 
     def saved_config(self) -> CatiConfig:
@@ -396,19 +303,12 @@ class ModelBundle:
 
     # -- payload loading -----------------------------------------------------------
 
-    def load_embedding(self, *, mmap: bool = False) -> "Word2Vec":
-        """Checksum-verify and deserialize the Word2Vec state.
-
-        ``mmap=True`` loads the numeric tables through
-        :meth:`load_shared` so the embedding matrix — the bulk of a
-        bundle's bytes — stays memory-mapped and shared across worker
-        processes instead of copied into each heap.
-        """
+    def load_embedding(self) -> "Word2Vec":
+        """Checksum-verify and deserialize the Word2Vec state."""
         from repro.embedding.word2vec import Word2Vec
 
         with observability.span("bundle.load"):
-            state = (self.load_shared(EMBEDDING_FILE) if mmap
-                     else self._load_arrays(EMBEDDING_FILE))
+            state = self._load_arrays(EMBEDDING_FILE)
             try:
                 embedding = Word2Vec.from_state(state)
             except ValueError as error:
@@ -422,19 +322,12 @@ class ModelBundle:
                 path=str(self.directory), stage="artifacts")
         return embedding
 
-    def load_classifier_state(self, *, mmap: bool = False) -> dict[str, dict[str, np.ndarray]]:
-        """Checksum-verify and deserialize every stage's weight dict.
-
-        ``mmap=True`` reads stage tensors from the shared mirror; the
-        NN layers copy weights into their own arrays on ``load_state``,
-        so for stages mmap mostly avoids decompression work — the
-        durable sharing win is the embedding table.
-        """
+    def load_classifier_state(self) -> dict[str, dict[str, np.ndarray]]:
+        """Checksum-verify and deserialize every stage's weight dict."""
         from repro.core.types import STAGE_SPECS
 
-        loader = self.load_shared if mmap else self._load_arrays
         with observability.span("bundle.load"):
-            return {stage.value: loader(f"{STAGES_DIR}/{stage.value}.npz")
+            return {stage.value: self._load_arrays(f"{STAGES_DIR}/{stage.value}.npz")
                     for stage in STAGE_SPECS}
 
     # -- saving ------------------------------------------------------------------
@@ -556,7 +449,6 @@ __all__ = [
     "EMBEDDING_FILE",
     "MANIFEST_NAME",
     "SCHEMA_VERSION",
-    "SHARED_DIR",
     "STAGES_DIR",
     "STRUCTURAL_FIELDS",
     "ModelBundle",

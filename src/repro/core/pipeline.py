@@ -119,8 +119,6 @@ class Cati:
         self._engine: InferenceEngine | None = None
         #: Train provenance stamped into saved bundles (who/when/on what).
         self.provenance: dict = {}
-        #: True when :meth:`load` actually memory-mapped the payloads.
-        self.mmap_active: bool = False
 
     # -- training ------------------------------------------------------------------
 
@@ -243,7 +241,7 @@ class Cati:
 
     @classmethod
     def load(cls, directory: str, config: CatiConfig | None = None,
-             warm_start: bool = False, *, mmap: bool = False) -> "Cati":
+             warm_start: bool = False) -> "Cati":
         """Load a saved model bundle, restoring its saved config.
 
         The manifest's config snapshot is authoritative: with
@@ -259,24 +257,18 @@ class Cati:
         ``warm_start=True`` additionally compiles the inference
         engine's float32 kernels now, so the first ``infer_binary``
         call does not pay the compile latency.
-
-        ``mmap=True`` loads bundle payloads through the shared ``.npy``
-        mirror (:meth:`ModelBundle.load_shared`), keeping the embedding
-        table a read-only memory map so N serving workers share one
-        physical copy (:attr:`mmap_active` records it).
         """
         bundle = ModelBundle.open(directory)
         resolved = bundle.resolve_config(config)
         cati = cls(resolved)
-        cati.embedding = bundle.load_embedding(mmap=mmap)
+        cati.embedding = bundle.load_embedding()
         cati.encoder = VucEncoder(cati.embedding)
         cati.classifier.load_state(
-            bundle.load_classifier_state(mmap=mmap),
+            bundle.load_classifier_state(),
             input_length=resolved.vuc_length,
             input_channels=resolved.instruction_dim,
         )
         cati.provenance = dict(bundle.manifest.get("provenance") or {})
-        cati.mmap_active = mmap
         if warm_start:
             cati.engine.warm_start()
         return cati

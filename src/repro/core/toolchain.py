@@ -92,16 +92,6 @@ def which_missing(tools: Sequence[str]) -> tuple[str, ...]:
     return tuple(tool for tool in tools if shutil.which(tool) is None)
 
 
-def require_tools(tools: Sequence[str], *, stage: str = "toolchain") -> None:
-    """Raise a skip-friendly :class:`ToolchainError` naming every missing tool."""
-    missing = which_missing(tools)
-    if missing:
-        raise ToolchainError(
-            f"required tool(s) not on PATH: {', '.join(missing)}",
-            tool=missing[0], missing=True, missing_tools=missing, stage=stage,
-        )
-
-
 def run_tool(
     argv: Sequence[str],
     *,

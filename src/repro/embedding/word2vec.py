@@ -178,23 +178,6 @@ class Word2Vec:
     def embed_ids(self, ids: np.ndarray) -> np.ndarray:
         return self.vectors[ids]
 
-    def most_similar(self, token: str, topn: int = 5) -> list[tuple[str, float]]:
-        """Nearest tokens by cosine similarity (sanity-checking tool)."""
-        query = self[token]
-        norms = np.linalg.norm(self.vectors, axis=1) + 1e-9
-        sims = self.vectors @ query / (norms * (np.linalg.norm(query) + 1e-9))
-        order = np.argsort(-sims)
-        id_to_token = {i: t for t, i in self.vocab.token_to_id.items()}
-        out = []
-        for idx in order:
-            candidate = id_to_token[int(idx)]
-            if candidate == token:
-                continue
-            out.append((candidate, float(sims[idx])))
-            if len(out) == topn:
-                break
-        return out
-
     # -- persistence -----------------------------------------------------------------
 
     def get_state(self) -> dict[str, np.ndarray]:

@@ -23,10 +23,6 @@ class FitResult:
     losses: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 class Sequential:
     """A plain layer stack with softmax-cross-entropy training."""

@@ -11,7 +11,7 @@ predicted and true layouts join on object id.
 
 from __future__ import annotations
 
-from repro.codegen.binary import Binary, _die_size
+from repro.codegen.binary import Binary
 from repro.core.types import TypeName
 from repro.dwarf.dies import Die, Tag
 from repro.dwarf.resolver import UnresolvableType, resolve_type
@@ -89,15 +89,3 @@ def truth_layouts(binary: Binary, scope_name: str | None = None) -> dict[str, di
                 out[object_id] = fields
     return out
 
-
-def variable_sizes(binary: Binary) -> dict[str, int]:
-    """Object id -> storage size, for corpus statistics."""
-    cu = binary.debug_tree()
-    out: dict[str, int] = {}
-    for func_index, sub in enumerate(cu.find_all(Tag.SUBPROGRAM)):
-        for child in sub.children:
-            if child.tag is Tag.VARIABLE and child.location is not None:
-                base = "rbp" if child.location < 0 else "rsp"
-                key = f"{binary.name}/{func_index}::{base}{child.location:+d}"
-                out[key] = _die_size(child.type_ref)
-    return out

@@ -25,8 +25,8 @@ The moving parts:
   ``Retry-After`` on overload, SIGTERM drain;
 * :mod:`repro.serve.router` / :mod:`repro.serve.worker` — the pre-fork
   scale-out path (``--workers N``): N worker processes, each a full
-  daemon with memory-mapped model payloads shared through the bundle's
-  ``.npy`` mirror, behind a router doing least-loaded dispatch,
+  daemon loading the bundle checksums-first like an offline load,
+  behind a router doing least-loaded dispatch,
   admission control, generation-fenced rolling reloads, crash respawn,
   and merged ``/healthz``//``/metricsz``;
 * :mod:`repro.serve.client` — the small blocking client behind

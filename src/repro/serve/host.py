@@ -39,9 +39,10 @@ from repro.core.pipeline import Cati
 def bundle_mtime(model_dir: Path) -> float:
     """Newest mtime under a bundle dir (manifest or any payload).
 
-    Dot-prefixed entries — the ``.shared`` mmap mirror, staging temp
-    dirs — are skipped: writing the shared cache must not look like a
-    new bundle to the ``--watch`` poller.
+    Dot-prefixed entries are skipped: they are never part of a bundle,
+    so a ``.shared/`` mirror an earlier version wrote there (never read
+    now; it may be deleted) does not look like a new bundle to the
+    ``--watch`` poller.
     """
     try:
         paths = [model_dir]
@@ -54,17 +55,22 @@ def bundle_mtime(model_dir: Path) -> float:
 
 
 class ModelHost:
-    """Thread-safe owner of the served model with hot-reload support."""
+    """Thread-safe owner of the served model with hot-reload support.
+
+    The first load and every reload go through ``Cati.load``, the
+    checksum-verified path offline inference uses, so a served model is
+    exactly the offline one; the host writes nothing into the bundle
+    directory.
+    """
 
     def __init__(self, model_dir: str | Path, *,
-                 mmap: bool = False, initial_generation: int = 1) -> None:
+                 initial_generation: int = 1) -> None:
         self._model_dir = Path(model_dir)
-        self._mmap = mmap
         self._lock = threading.Lock()
         self._watcher: threading.Thread | None = None
         self._watch_stop = threading.Event()
         with observability.span("serve.load"):
-            cati = Cati.load(str(self._model_dir), warm_start=True, mmap=mmap)
+            cati = Cati.load(str(self._model_dir), warm_start=True)
         # ``initial_generation`` lets a respawned pre-fork worker join
         # at the router's current fence generation instead of restarting
         # its process-local counter at 1.
@@ -114,7 +120,6 @@ class ModelHost:
         return {
             "bundle": str(self._model_dir),
             "generation": generation,
-            "mmap": bool(getattr(cati, "mmap_active", False)),
             "loaded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                        time.gmtime(loaded_at)),
             "repro_version": provenance.get("repro_version"),
@@ -137,8 +142,7 @@ class ModelHost:
                 bundle = ModelBundle.open(target)
                 bundle.verify()
                 bundle.resolve_config(self.config)
-                cati = Cati.load(str(target), warm_start=True,
-                                 mmap=self._mmap)
+                cati = Cati.load(str(target), warm_start=True)
         except ArtifactError:
             observability.inc("serve.reload.rejected")
             raise

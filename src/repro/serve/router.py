@@ -26,9 +26,8 @@ their single-daemon meaning; the router adds:
   reach a worker, exactly like the single daemon's queue gate.
 * **a generation fence for hot reload** — ``POST /v1/reload`` verifies
   the new bundle *once* in the router (checksums + structural config
-  check; corrupt bundles 409 without any worker noticing), materializes
-  the shared ``.npy`` mirror so N workers can mmap it instantly, then
-  rolls workers forward one at a time.  The router's generation — what
+  check; corrupt bundles 409 without any worker noticing), then rolls
+  workers forward one at a time.  The router's generation — what
   ``/healthz`` reports — only advances once every live worker runs the
   new model; until then the old generation keeps answering.
 * **liveness + respawn** — a monitor thread notices dead workers
@@ -40,9 +39,12 @@ their single-daemon meaning; the router adds:
   :func:`repro.core.observability.merge_snapshots`); ``/healthz`` rolls
   up per-worker liveness, generation, and restart counts.
 
-Workers mmap their payloads from the bundle's shared mirror, so the
-model's big tables exist once in the page cache no matter how many
-workers serve them.  See docs/DEPLOYMENT.md for the operator story.
+Each worker loads the bundle itself through the checksum-verified
+``Cati.load`` path, like a single daemon or an offline load, and the
+router writes nothing into the bundle directory.  The HTTP front is the
+daemon's handler (:class:`repro.serve.server._Handler`) with the
+worker-facing endpoints replaced.  See docs/DEPLOYMENT.md for the
+operator story.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import json
 import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from functools import partial
 from pathlib import Path
 
 import repro
@@ -62,16 +64,14 @@ from repro.core.artifacts import ModelBundle
 from repro.core.errors import (
     ArtifactError,
     QueueFullError,
-    RequestError,
     ServeError,
     ServerClosedError,
     SessionGoneError,
     check_on_error,
 )
-from repro.serve import protocol
 from repro.serve.host import bundle_mtime
 from repro.serve.scheduler import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS
-from repro.serve.server import MAX_BODY_BYTES, write_line
+from repro.serve.server import _Handler, _Server, write_line
 from repro.serve.worker import WorkerHandle
 
 #: Seconds the router waits for one worker's answer to a forwarded
@@ -94,140 +94,49 @@ class _WorkerSlot:
         self.last_restart_at: float | None = None
 
 
-class _RouterServer(ThreadingHTTPServer):
-    # Same drain contract as the single daemon: server_close joins
-    # non-daemon handler threads, so every accepted request answers.
-    daemon_threads = False
-    allow_reuse_address = True
-    router_ref: "RouterDaemon"
+class _RouterHandler(_Handler):
+    """The daemon's handler, forwarding work to the workers.
 
+    Routing, body reading, the size gate, JSON replies and error
+    mapping are the daemon's; only the endpoints that reach a worker
+    (or fence a reload) differ, and errors count as
+    ``router.http.<status>``.
+    """
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.0"
-    timeout = 120
+    counter_prefix = "router"
 
-    @property
-    def router(self) -> "RouterDaemon":
-        return self.server.router_ref  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.router.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, body: dict,
-                   headers: dict | None = None) -> None:
-        data = json.dumps(body).encode("utf-8") + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_raw(self, status: int, data: bytes,
-                  headers: dict | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_failure(self, error: BaseException) -> None:
-        headers = {}
-        if isinstance(error, ServeError):
-            status = error.status
-            retry_after = getattr(error, "retry_after_s", None)
-            if status == 503:
-                headers["Retry-After"] = str(max(1, round(retry_after or 1)))
-        else:
-            status = 500
-        observability.inc(f"router.http.{status}")
-        self._send_json(status, protocol.error_body(
-            type(error).__name__, str(error)), headers)
-
-    def _read_raw_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise RequestError(f"body of {length} bytes exceeds the "
-                               f"{MAX_BODY_BYTES} byte limit",
-                               status=413, stage="serve")
-        return self.rfile.read(length) if length else b""
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
+    def _forward(self, dispatch) -> None:
+        """Admit, hand the raw body to ``dispatch``, relay its answer."""
+        router = self.daemon
+        started = time.monotonic()
+        raw = self._read_raw_body()
+        router.admit()
         try:
-            if self.path == "/healthz":
-                self._send_json(200, self.router.health_body())
-            elif self.path == "/metricsz":
-                self._send_json(200, self.router.merged_metrics())
-            else:
-                self._send_json(404, protocol.error_body(
-                    "NotFound", f"no route {self.path}"))
-        except Exception as error:  # noqa: BLE001 — must answer something
-            self._send_failure(error)
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        try:
-            if self.path == "/v1/infer":
-                self._handle_infer()
-            elif self.path.startswith("/v1/session/"):
-                self._handle_session()
-            elif self.path == "/v1/reload":
-                self._handle_reload()
-            else:
-                self._send_json(404, protocol.error_body(
-                    "NotFound", f"no route {self.path}"))
-        except Exception as error:  # noqa: BLE001 — must answer something
-            self._send_failure(error)
+            status, body, headers = dispatch(raw)
+        finally:
+            router.release()
+        observability.inc("router.requests")
+        observability.observe("router.request.seconds",
+                              time.monotonic() - started)
+        self._send_bytes(status, body, headers)
 
     def _handle_infer(self) -> None:
-        router = self.router
-        started = time.monotonic()
-        raw = self._read_raw_body()
-        router.admit()
-        try:
-            status, body, headers = router.dispatch_infer(raw)
-        finally:
-            router.release()
-        observability.inc("router.requests")
-        observability.observe("router.request.seconds",
-                              time.monotonic() - started)
-        self._send_raw(status, body, headers)
+        self._forward(self.daemon.dispatch_infer)
 
     def _handle_session(self) -> None:
-        router = self.router
-        started = time.monotonic()
-        raw = self._read_raw_body()
-        router.admit()
-        try:
-            status, body, headers = router.dispatch_session(self.path, raw)
-        finally:
-            router.release()
-        observability.inc("router.requests")
-        observability.observe("router.request.seconds",
-                              time.monotonic() - started)
-        self._send_raw(status, body, headers)
+        self._forward(partial(self.daemon.dispatch_session, self.path))
+
+    # dispatch_session routes open and per-id calls alike.
+    _handle_session_open = _handle_session_action = _handle_session
 
     def _handle_reload(self) -> None:
-        raw = self._read_raw_body()
+        request = self._read_body()
         try:
-            request = json.loads(raw) if raw else {}
-        except ValueError as error:
-            raise RequestError(f"body is not valid JSON: {error}",
-                               stage="serve") from error
-        if not isinstance(request, dict):
-            raise RequestError("body must be a JSON object", stage="serve")
-        try:
-            result = self.router.reload(request.get("model_dir"))
+            result = self.daemon.reload(request.get("model_dir"))
         except ArtifactError as error:
-            observability.inc("router.http.409")
-            self._send_json(409, protocol.error_body(
-                type(error).__name__, str(error)))
+            self._send_error(409, error)
             return
-        status = 200 if result.get("reloaded") else 502
-        self._send_json(status, result)
+        self._send_json(200 if result.get("reloaded") else 502, result)
 
 
 class RouterDaemon:
@@ -250,7 +159,6 @@ class RouterDaemon:
         watch: bool = False,
         watch_interval_s: float = 2.0,
         verbose: bool = False,
-        mmap: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -259,7 +167,6 @@ class RouterDaemon:
         self.verbose = verbose
         self.queue_limit = queue_limit
         self.draining = False
-        self._mmap = mmap
         self._model_dir = Path(model_dir)
         # Verify once up front: the same checksum gate every worker
         # would hit, but hit here a single time with a clear error
@@ -268,8 +175,6 @@ class RouterDaemon:
         bundle = ModelBundle.open(self._model_dir)
         bundle.verify()
         self._config = bundle.saved_config()
-        if mmap:
-            bundle.ensure_shared_arrays()
         self._generation = 1
         #: ServeDaemon keyword arguments every worker is spawned with.
         self._worker_options = {
@@ -281,7 +186,6 @@ class RouterDaemon:
             "default_deadline_s": default_deadline_s,
             "default_on_error": default_on_error,
             "verbose": verbose,
-            "mmap": mmap,
             # Sticky sessions: each worker mints session ids hashing to
             # its own slot, so dispatch_session routes without state.
             "slot_count": workers,
@@ -302,8 +206,8 @@ class RouterDaemon:
                 if slot.handle is not None:
                     slot.handle.terminate(join_timeout_s=5.0)
             raise
-        self.httpd = _RouterServer((host, port), _RouterHandler)
-        self.httpd.router_ref = self
+        self.httpd = _Server((host, port), _RouterHandler)
+        self.httpd.daemon_ref = self
         self._monitor_stop = threading.Event()
         self._monitor: threading.Thread | None = None
         self._watch = watch
@@ -501,8 +405,6 @@ class RouterDaemon:
                 except ArtifactError:
                     observability.inc("router.reload.rejected")
                     raise
-                if self._mmap:
-                    bundle.ensure_shared_arrays()
                 outcomes = []
                 rolled = 0
                 for slot in self._slots:
@@ -598,7 +500,6 @@ class RouterDaemon:
         return {
             "bundle": str(self._model_dir),
             "generation": self._generation,
-            "mmap": self._mmap,
             "workers": len(self._slots),
         }
 
@@ -633,7 +534,6 @@ class RouterDaemon:
                 health = self._worker_health(handle)
                 if health:
                     entry["generation"] = health["model"]["generation"]
-                    entry["mmap"] = health["model"].get("mmap")
                     entry["queue"] = health.get("queue")
                     block = health.get("sessions")
                     if block:
@@ -666,7 +566,7 @@ class RouterDaemon:
             "restarts": total_restarts,
         }
 
-    def merged_metrics(self) -> dict:
+    def metrics_body(self) -> dict:
         """Router registry + every live worker's snapshot, merged."""
         snapshots = [observability.snapshot()]
         for handle in self._live_handles():
@@ -723,8 +623,7 @@ class RouterDaemon:
                                              name="router-watch", daemon=True)
             self._watcher.start()
         write_line(f"[router] model generation {self._generation} from "
-                   f"{self._model_dir} across {len(self._slots)} workers "
-                   f"(mmap={'on' if self._mmap else 'off'})")
+                   f"{self._model_dir} across {len(self._slots)} workers")
         for slot in self._slots:
             handle = slot.handle
             write_line(f"[router] worker {slot.index}: pid {handle.pid} "

@@ -59,7 +59,6 @@ from repro.core.errors import (
     ArtifactError,
     CatiError,
     FailureReport,
-    QueueFullError,
     RequestError,
     ServeError,
     check_on_error,
@@ -91,15 +90,19 @@ class _Server(ThreadingHTTPServer):
     # handler threads; the SIGTERM drain contract depends on that join.
     daemon_threads = False
     allow_reuse_address = True
-    #: Set by ServeDaemon right after construction.
+    #: Set by ServeDaemon (or RouterDaemon) right after construction.
     daemon_ref: "ServeDaemon"
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """The daemon's HTTP front; the router's handler subclasses it."""
+
     # Connection-per-request keeps drain simple: no idle keep-alive
     # sockets pinning handler threads past their one response.
     protocol_version = "HTTP/1.0"
     timeout = 120  # a stalled client must not block server_close's join
+    #: Error answers count under ``<counter_prefix>.http.<status>``.
+    counter_prefix = "serve"
 
     @property
     def daemon(self) -> "ServeDaemon":
@@ -111,9 +114,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _send_json(self, status: int, body: dict,
-                   headers: dict | None = None) -> None:
-        data = json.dumps(body).encode("utf-8") + b"\n"
+    def _send_bytes(self, status: int, data: bytes,
+                    headers: dict | None = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -121,6 +123,17 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+
+    def _send_json(self, status: int, body: dict,
+                   headers: dict | None = None) -> None:
+        self._send_bytes(status, json.dumps(body).encode("utf-8") + b"\n",
+                         headers)
+
+    def _send_error(self, status: int, error: BaseException,
+                    headers: dict | None = None) -> None:
+        observability.inc(f"{self.counter_prefix}.http.{status}")
+        self._send_json(status, protocol.error_body(
+            type(error).__name__, str(error)), headers)
 
     def _send_failure(self, error: BaseException) -> None:
         headers = {}
@@ -133,17 +146,18 @@ class _Handler(BaseHTTPRequestHandler):
             status = 422  # well-formed request, pipeline rejected the job
         else:
             status = 500
-        observability.inc(f"serve.http.{status}")
-        self._send_json(status, protocol.error_body(
-            type(error).__name__, str(error)), headers)
+        self._send_error(status, error, headers)
 
-    def _read_body(self) -> dict:
+    def _read_raw_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
         if length > MAX_BODY_BYTES:
             raise RequestError(f"body of {length} bytes exceeds the "
                                f"{MAX_BODY_BYTES} byte limit",
                                status=413, stage="serve")
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _read_body(self) -> dict:
+        raw = self._read_raw_body()
         if not raw:
             return {}
         try:
@@ -162,7 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/healthz":
                 self._send_json(200, self.daemon.health_body())
             elif self.path == "/metricsz":
-                self._send_json(200, observability.snapshot())
+                self._send_json(200, self.daemon.metrics_body())
             else:
                 self._send_json(404, protocol.error_body(
                     "NotFound", f"no route {self.path}"))
@@ -273,9 +287,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             info = self.daemon.model_host.reload(model_dir)
         except ArtifactError as error:
-            observability.inc("serve.http.409")
-            self._send_json(409, protocol.error_body(
-                type(error).__name__, str(error)))
+            self._send_error(409, error)
             return
         self._send_json(200, {"reloaded": True, "model": info})
 
@@ -299,7 +311,6 @@ class ServeDaemon:
         watch: bool = False,
         watch_interval_s: float = 2.0,
         verbose: bool = False,
-        mmap: bool = False,
         log_label: str = "serve",
         initial_generation: int = 1,
         slot_index: int = 0,
@@ -313,7 +324,7 @@ class ServeDaemon:
         #: Log-line prefix; the pre-fork workers set "worker N" so their
         #: inherited stdout interleaves readably with the router's.
         self.log_label = log_label
-        self.model_host = ModelHost(model_dir, mmap=mmap,
+        self.model_host = ModelHost(model_dir,
                                     initial_generation=initial_generation)
         self.scheduler = MicroBatchScheduler(
             self.model_host, queue_limit=queue_limit,
@@ -436,6 +447,10 @@ class ServeDaemon:
                 "p99_s": latency.quantile(0.99),
             },
         }
+
+    def metrics_body(self) -> dict:
+        """The ``/metricsz`` body: this process's registry snapshot."""
+        return observability.snapshot()
 
     # -- lifecycle ---------------------------------------------------------------
 

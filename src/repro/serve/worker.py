@@ -8,10 +8,10 @@ speak exactly the single-daemon wire protocol and every endpoint
 (``/v1/infer``, ``/v1/reload``, ``/healthz``, ``/metricsz``) keeps its
 meaning; the router aggregates on top.
 
-Workers load bundles with ``mmap=True``: payloads come from the
-bundle's shared ``.npy`` mirror (:meth:`ModelBundle.load_shared`), so
-N workers map the same physical pages of the embedding table instead
-of holding N heap copies.
+Each worker loads the bundle through ``Cati.load``, checksums first,
+exactly as a single daemon and offline inference do.  The model is
+small (about 1.4 MB of arrays for the full GCC bundle), so each worker
+simply holds its own copy.
 
 Processes are started with the ``spawn`` context, not ``fork``: the
 router runs handler threads, and forking a multithreaded process can

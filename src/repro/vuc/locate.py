@@ -175,7 +175,3 @@ def locate_targets(listing: FunctionListing) -> list[Target]:
                 pointer_regs.pop(family, None)
     return targets
 
-
-def count_targets(listing: FunctionListing) -> int:
-    """Number of target instructions in a function (cheap summary)."""
-    return len(locate_targets(listing))

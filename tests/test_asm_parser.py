@@ -82,6 +82,11 @@ class TestParseInstruction:
         with pytest.raises(AsmParseError):
             parse_instruction("   ")
 
+    def test_comment_only_line_raises(self):
+        for line in ("#", "# x", "  # c"):
+            with pytest.raises(AsmParseError, match="empty line"):
+                parse_instruction(line)
+
 
 class TestObjdumpLine:
     def test_body_line(self):

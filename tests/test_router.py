@@ -8,11 +8,10 @@ a corrupt bundle answers 409 while the old generation keeps serving; a
 SIGKILLed worker is respawned by the monitor and ``/healthz``
 enumerates the restart; SIGTERM drains the whole tree to rc 0.
 
-The workers share the model through the bundle's memory-mapped
-``.shared`` mirror — asserted both at the artifact layer (the loaded
-arrays are memmap-backed) and end-to-end (worker ``/healthz`` reports
-``mmap: true`` and served predictions still match the in-process
-float path exactly).
+Every worker loads the bundle through the checksum-verified
+``Cati.load`` path, and serving writes nothing into the bundle
+directory: a single daemon and a router each serve, reload and stop on
+a fresh bundle, which then holds exactly its manifest and payloads.
 
 Worker processes are real ``multiprocessing`` spawns, so this module
 is the slowest of the serve tests; everything shares one module-scoped
@@ -42,7 +41,7 @@ from repro.experiments.speed import extents_from_debug
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.router import RouterDaemon
-from tests.test_serve import prediction_tuples
+from tests.test_serve import prediction_tuples, start_daemon, stop_daemon
 
 
 @pytest.fixture(scope="session")
@@ -131,18 +130,19 @@ class TestRouterServing:
         assert health["status"] == "ok"
         assert health["role"] == "router"
         assert health["model"]["workers"] == 2
-        assert health["model"]["mmap"] is True
         assert health["workers_live"] == 2
         assert len(health["workers"]) == 2
         for worker in health["workers"]:
             assert worker["alive"]
             assert worker["pid"] > 0
             assert worker["generation"] == health["model"]["generation"]
-            assert worker["mmap"] is True
             assert "queue" in worker
 
-    def test_merged_metrics_roll_up_both_layers(self, router):
+    def test_merged_metrics_roll_up_both_layers(self, router, router_windows):
         _daemon, client = router
+        # After the reset, serve.* counters can only come from workers.
+        observability.reset()
+        client.infer_windows(*router_windows)
         merged = client.metrics()
         # Router-side and worker-side counters appear in one snapshot.
         assert merged["counters"]["router.requests"] >= 1
@@ -195,8 +195,7 @@ class TestRouterServing:
             router_windows, router_expected):
         _daemon, client = router
         bad_dir = tmp_path / "corrupt"
-        shutil.copytree(router_bundle_dir, bad_dir,
-                        ignore=shutil.ignore_patterns(".shared"))
+        shutil.copytree(router_bundle_dir, bad_dir)
         payload = bad_dir / "word2vec.npz"
         data = bytearray(payload.read_bytes())
         data[100] ^= 0xFF
@@ -286,42 +285,27 @@ class TestWorkerSettings:
             stop_router(daemon, thread)
 
 
-class TestSharedModelMemory:
-    def test_shared_mirror_is_memmap_backed(self, router_bundle_dir):
-        bundle = ModelBundle.open(str(router_bundle_dir))
-        bundle.ensure_shared_arrays()
-        bundle.ensure_shared_arrays()  # idempotent — no rebuild, no error
-        arrays = bundle.load_shared("word2vec.npz")
-        vectors = arrays["vectors"]
-        assert (isinstance(vectors, np.memmap)
-                or isinstance(getattr(vectors, "base", None), np.memmap))
-
-    def test_mmap_load_matches_copied_load(self, router_bundle_dir,
-                                           router_windows):
-        windows, _variable_ids = router_windows
-        copied = Cati.load(str(router_bundle_dir))
-        mapped = Cati.load(str(router_bundle_dir), mmap=True)
-        assert copied.mmap_active is False
-        assert mapped.mmap_active is True
-        table = mapped.encoder.embedding.vectors
-        assert (isinstance(table, np.memmap)
-                or isinstance(getattr(table, "base", None), np.memmap))
-        np.testing.assert_array_equal(
-            mapped.engine.leaf_proba(windows), copied.engine.leaf_proba(windows))
-
-    def test_shared_mirror_detects_stale_shapes(self, router_bundle_dir,
-                                                tmp_path):
-        from repro.core.errors import ArtifactError
-
-        clone = tmp_path / "clone"
-        shutil.copytree(router_bundle_dir, clone)
-        bundle = ModelBundle.open(str(clone))
-        bundle.ensure_shared_arrays()
-        # Truncate one mirror file behind the marker's back.
-        mirrors = sorted((bundle.shared_dir() / "word2vec.npz").glob("*.npy"))
-        mirrors[0].write_bytes(b"\x93NUMPY")
-        with pytest.raises(ArtifactError):
-            bundle.load_shared("word2vec.npz")
+class TestBundleDirectory:
+    def test_serving_writes_nothing_into_the_bundle(self, mini_cati, tmp_path,
+                                                    binary_job):
+        bundle_dir = tmp_path / "bundle"
+        mini_cati.save(str(bundle_dir))
+        daemon, thread, client = start_daemon(bundle_dir)
+        try:
+            assert client.infer_binary(*binary_job)["predictions"]
+            assert client.reload()["reloaded"] is True
+        finally:
+            stop_daemon(daemon, thread)
+        router, thread, client = start_router(bundle_dir, queue_limit=8)
+        try:
+            assert client.infer_binary(*binary_job)["predictions"]
+            assert client.reload()["reloaded"] is True
+        finally:
+            stop_router(router, thread)
+        manifest = ModelBundle.open(bundle_dir).manifest
+        listed = sorted(str(path.relative_to(bundle_dir))
+                        for path in bundle_dir.rglob("*") if path.is_file())
+        assert listed == sorted(["manifest.json", *manifest["files"]])
 
 
 class _FlakyHTTPServer(threading.Thread):

@@ -67,11 +67,13 @@ def mutations(seed: bytes) -> st.SearchStrategy[bytes]:
     return st.lists(edit, min_size=1, max_size=6).map(apply)
 
 
-#: Leaves of any JSON type, plus strings built from assembly and
-#: packed-window punctuation so text parsers see near-misses.
+#: Strings built from assembly, comment and packed-window punctuation,
+#: so text parsers see near-misses.
+ASM_TEXT = st.text(alphabet="()$%,-+*:<>#x0123456789abcdefr \t\n", max_size=30)
+
+#: Leaves of any JSON type.
 LEAVES = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-          | st.text(max_size=12)
-          | st.text(alphabet="()$%,-+*:<>x0123456789abcdefr \t\n", max_size=30))
+          | st.text(max_size=12) | ASM_TEXT)
 JSON = st.recursive(LEAVES, lambda children: st.lists(children, max_size=3)
                     | st.dictionaries(st.text(max_size=8), children, max_size=3),
                     max_leaves=6)
@@ -173,6 +175,14 @@ def test_decode_function(code):
        on_error=st.sampled_from(("raise", "skip")))
 def test_parse_compile_units(info, abbrev, on_error):
     typed_only(lambda: parse_compile_units(info, abbrev, b"", b"", on_error=on_error))
+
+
+@SETTINGS
+@given(line=ASM_TEXT)
+def test_instruction_text(line):
+    """Any instruction text decodes or raises a typed error (a 400)."""
+    body = {"functions": [{"name": "f", "instructions": [[0, line]]}]}
+    typed_only(lambda: protocol.binary_from_wire(body))
 
 
 @SETTINGS
