@@ -6,9 +6,9 @@ bundle's directory swap, and (new) the batch checkpoint commit.  They
 now share these helpers, which add the two details the ad-hoc versions
 skipped:
 
-* the temp file is **fsynced before the rename** (``fsync=True``), so a
-  power cut right after ``os.replace`` cannot leave a named-but-empty
-  file on journaling filesystems that reorder data behind metadata;
+* the temp file is **fsynced before the rename**, so a power cut right
+  after ``os.replace`` cannot leave a named-but-empty file on
+  journaling filesystems that reorder data behind metadata;
 * the **parent directory entry is fsynced after the rename**, making the
   rename itself durable, not just the bytes.
 
@@ -46,13 +46,11 @@ def fsync_dir(path: str | Path) -> None:
 
 
 def atomic_write(path: str | Path, data: bytes | str, *,
-                 fsync: bool = True, encoding: str = "utf-8") -> None:
+                 encoding: str = "utf-8") -> None:
     """Atomically replace ``path`` with ``data`` (same-dir temp + rename).
 
     Parent directories are created as needed.  ``str`` data is encoded
-    with ``encoding``.  ``fsync=False`` skips both the file and
-    directory syncs for callers where durability past a process crash
-    is enough (e.g. scratch state inside a test).
+    with ``encoding``.
     """
     path = Path(path)
     directory = path.absolute().parent
@@ -64,9 +62,8 @@ def atomic_write(path: str | Path, data: bytes | str, *,
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp_name, path)
     except BaseException:
         try:
@@ -74,12 +71,10 @@ def atomic_write(path: str | Path, data: bytes | str, *,
         except OSError:
             pass
         raise
-    if fsync:
-        fsync_dir(directory)
+    fsync_dir(directory)
 
 
-def atomic_replace_dir(staging: str | Path, target: str | Path, *,
-                       fsync: bool = True) -> None:
+def atomic_replace_dir(staging: str | Path, target: str | Path) -> None:
     """Atomically promote the ``staging`` directory to ``target``.
 
     ``os.rename`` cannot replace a non-empty directory, so an existing
@@ -97,5 +92,4 @@ def atomic_replace_dir(staging: str | Path, target: str | Path, *,
         shutil.rmtree(doomed, ignore_errors=True)
     else:
         os.rename(staging, target)
-    if fsync:
-        fsync_dir(target.absolute().parent)
+    fsync_dir(target.absolute().parent)

@@ -159,25 +159,7 @@ class Histogram:
         This is what ``/healthz`` and the serve benchmark use for
         p50/p99 latency without keeping raw samples.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            if not self.count:
-                return None
-            rank = q * self.count
-            seen = 0
-            for index, bucket in enumerate(self.counts):
-                if not bucket:
-                    continue
-                if seen + bucket >= rank:
-                    lower = self.boundaries[index - 1] if index else self.min
-                    upper = (self.boundaries[index]
-                             if index < len(self.boundaries) else self.max)
-                    fraction = (rank - seen) / bucket
-                    value = lower + (upper - lower) * fraction
-                    return min(max(value, self.min), self.max)
-                seen += bucket
-            return self.max
+        return quantile_from_dict(self.to_dict(), q)
 
     def to_dict(self) -> dict:
         with self._lock:

@@ -21,6 +21,7 @@ import random
 import signal
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -249,24 +250,16 @@ class TestJobLifecycle:
             assert [p["predicted"] for p in got] == \
                    [str(d.predicted) for d in direct]
 
-    def test_job_writes_cache_index_once(self, tmp_path, mini_bundle_dir,
-                                         monkeypatch):
-        from repro.batch.cache import WindowCacheStore
-
-        writes = []
-        original = WindowCacheStore._write_index
-
-        def counting(store):
-            writes.append(store.directory)
-            original(store)
-
-        monkeypatch.setattr(WindowCacheStore, "_write_index", counting)
+    def test_job_leaves_only_segments_in_the_cache(self, tmp_path,
+                                                   mini_bundle_dir):
         spec = small_spec(5)  # three shards of at most two items
         results = run_job(tmp_path / "job", spec, model_dir=mini_bundle_dir,
                           cache_dir=tmp_path / "cache")
         assert results["shards_run"] == 3
         assert results["window_cache"]["appends"] > 0
-        assert len(writes) == 1
+        (namespace,) = (tmp_path / "cache").iterdir()
+        names = [path.name for path in namespace.iterdir()]
+        assert names and all(fnmatch(name, "seg-*.bin") for name in names), names
 
     def test_results_committed_and_status_complete(self, tmp_path,
                                                    mini_bundle_dir):

@@ -50,11 +50,6 @@ class TestAtomicWrite:
         # the temp file was cleaned up, not leaked
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
-    def test_fsync_false_still_atomic(self, tmp_path):
-        target = tmp_path / "out.txt"
-        atomic_write(target, "fast", fsync=False)
-        assert target.read_text() == "fast"
-
 
 class TestAtomicReplaceDir:
     def test_promotes_fresh_target(self, tmp_path):

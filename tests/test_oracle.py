@@ -6,14 +6,16 @@ each other entry point: the daemon's ``binary``, ``windows_packed`` and
 ``demo`` jobs, an analysis session (``type_variable`` for every
 variable, then ``struct_layouts``), ``repro infer --json --structs``,
 a two-worker router serving ``binary`` jobs and a session walk (sticky
-routing), ``batch.run_job(structs=True)``, and a ``repro batch run``
-SIGKILLed right after a shard commits, then resumed (its results merge
-shards read back from disk with a shard computed in memory).  Every
-entry point is reduced to one canonical form and compared with the
-reference: variable id, type and VUC count exactly, vote scores to 1e-6
-(a request coalesced into another batch composition may move leaf
-probabilities at the ~1e-8 level), struct layouts where the entry point
-recovers them, and failures as (stage, kind, function).
+routing), ``batch.run_job(structs=True)``, a second ``run_job`` over
+a window cache the first filled (every leaf row read back from disk),
+and a ``repro batch run`` SIGKILLed right after a shard commits, then
+resumed (its results merge shards read back from disk with a shard
+computed in memory).  Every entry point is reduced to one canonical
+form and compared with the reference: variable id, type and VUC count
+exactly, vote scores to 1e-6 (a request coalesced into another batch
+composition may move leaf probabilities at the ~1e-8 level), struct
+layouts where the entry point recovers them, and failures as (stage,
+kind, function).
 """
 
 from __future__ import annotations
@@ -235,6 +237,19 @@ def _batch(env) -> dict:
                                   model_dir=str(env.bundle_dir)))
 
 
+def _batch_warm_cache(env) -> dict:
+    """Two jobs share one window cache; the second reads every row back."""
+    spec = JobSpec(items=CORPUS, structs=True, shard_size=2, backoff=0.0)
+    cache_dir = env.tmp_path / "cache"
+    run_job(env.tmp_path / "cold", spec, model_dir=str(env.bundle_dir),
+            cache_dir=cache_dir)
+    results = run_job(env.tmp_path / "warm", spec, model_dir=str(env.bundle_dir),
+                      cache_dir=cache_dir)
+    cache = results["window_cache"]
+    assert cache["hits"] > 0 and cache["misses"] == cache["appends"] == 0, cache
+    return _batch_answers(results)
+
+
 def _batch_resume(env) -> dict:
     """One shard per binary; killed right after shard 1 commits, then resumed."""
     manifest = env.tmp_path / "manifest.json"
@@ -271,11 +286,13 @@ RUNNERS = {
     "router-2w-binary": _router_2w_binary,
     "router-2w-session": _router_2w_session,
     "batch": _batch,
+    "batch-warm-cache": _batch_warm_cache,
     "batch-resume": _batch_resume,
 }
 
 #: Entry points that run the posterior stage and answer with layouts.
-POSTERIOR = ("session", "cli-json", "router-2w-session", "batch", "batch-resume")
+POSTERIOR = ("session", "cli-json", "router-2w-session", "batch", "batch-warm-cache",
+             "batch-resume")
 
 
 @pytest.mark.parametrize("entry", tuple(RUNNERS))

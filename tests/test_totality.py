@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.batch.cache import INDEX_NAME, WindowCacheStore
+from repro.batch.cache import WindowCacheStore
 from repro.batch.job import BatchJobStore
 from repro.codegen import GccCompiler, strip
 from repro.core.errors import CatiError
@@ -34,6 +34,7 @@ from repro.experiments.speed import extents_from_debug
 from repro.serve import protocol
 from repro.vuc.dataset import extract_unlabeled_vucs
 from tests import faultinject as fi
+from tests.test_window_cache import earlier_index
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -227,32 +228,38 @@ def test_read_checkpoint(checkpoint, data):
 
 @pytest.fixture(scope="module")
 def window_cache(tmp_path_factory):
-    """A closed store's files (index and one segment) and the rows it holds."""
+    """A closed store's one segment, the index an earlier version would
+    have written beside it, and the rows they hold."""
     rows = {bytes([i]) * 4: np.arange(3, dtype=np.float64) + i for i in range(4)}
     directory = tmp_path_factory.mktemp("cache")
-    with WindowCacheStore(directory, "model", row_len=3, fsync=False) as store:
+    with WindowCacheStore(directory, "model", row_len=3) as store:
         store.put_many(list(rows.items()))
-    files = {path.name: path.read_bytes() for path in (directory / "model").iterdir()}
-    assert INDEX_NAME in files and len(files) == 2
-    return files, rows
+    (segment,) = (directory / "model").iterdir()
+    return segment.name, segment.read_bytes(), earlier_index(segment.parent, 3), rows
 
 
 @SETTINGS
-@given(data=st.data(), damaged=st.sampled_from(("index", "segment", "both")))
-def test_window_cache_store(window_cache, data, damaged):
-    files, rows = window_cache
-    with tempfile.TemporaryDirectory() as directory:
-        namespace = Path(directory) / "model"
-        namespace.mkdir()
-        for name, content in files.items():
-            if damaged == "both" or (damaged == "index") == (name == INDEX_NAME):
-                content = data.draw(mutations(content))
-            (namespace / name).write_bytes(content)
-        store = WindowCacheStore(directory, "model", row_len=3, fsync=False)
-        try:
-            got = store.get_many([*rows, b"absent"])
-        finally:
-            store.close()
-    assert got.keys() <= rows.keys()
-    for raw, row in got.items():
-        assert row.tobytes() == rows[raw].tobytes()
+@given(data=st.data())
+def test_window_cache_store(window_cache, data):
+    """A mutated segment yields only verified rows, and a garbage
+    ``index.json`` beside it changes nothing."""
+    name, segment, index, rows = window_cache
+    segment = data.draw(mutations(segment))
+    answers = []
+    for stale_index in (None, data.draw(mutations(index))):
+        with tempfile.TemporaryDirectory() as directory:
+            namespace = Path(directory) / "model"
+            namespace.mkdir()
+            (namespace / name).write_bytes(segment)
+            if stale_index is not None:
+                (namespace / "index.json").write_bytes(stale_index)
+            store = WindowCacheStore(directory, "model", row_len=3)
+            try:
+                got = store.get_many([*rows, b"absent"])
+            finally:
+                store.close()
+        answers.append({raw: row.tobytes() for raw, row in got.items()})
+    assert answers[0] == answers[1]
+    assert answers[0].keys() <= rows.keys()
+    for raw, row in answers[0].items():
+        assert row == rows[raw].tobytes()

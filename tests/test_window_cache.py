@@ -8,6 +8,9 @@ a wrong row.
 
 from __future__ import annotations
 
+import json
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
@@ -16,14 +19,34 @@ from repro.batch.cache import _HEADER, _KEY_LEN, WindowCacheStore
 ROW_LEN = 19
 
 
-def make_store(tmp_path, key="model-a", **kwargs):
-    kwargs.setdefault("fsync", False)
-    return WindowCacheStore(tmp_path, key, row_len=ROW_LEN, **kwargs)
+def make_store(tmp_path, key="model-a"):
+    return WindowCacheStore(tmp_path, key, row_len=ROW_LEN)
 
 
 def rows(n, seed=0):
     rng = np.random.default_rng(seed)
     return [(bytes([i]) * 12, rng.random(ROW_LEN)) for i in range(n)]
+
+
+def earlier_index(namespace, row_len=ROW_LEN) -> bytes:
+    """The ``index.json`` earlier versions wrote beside a namespace's
+    segments: each record's key, segment and payload offset, and each
+    segment's size, closed by the SHA-256 of that canonical text."""
+    payload_at = _HEADER.size + _KEY_LEN
+    record_len = payload_at + row_len * 8
+    names = sorted(path.name for path in namespace.glob("seg-*.bin"))
+    segments, entries = {}, []
+    for number, name in enumerate(names):
+        blob = (namespace / name).read_bytes()
+        segments[name] = len(blob)
+        entries += [[blob[start + _HEADER.size:start + payload_at].hex(), number,
+                     start + payload_at]
+                    for start in range(0, len(blob) - record_len + 1, record_len)]
+    body = {"format": "cati-window-cache-index/1", "model_key": namespace.name,
+            "row_len": row_len, "segments": segments, "entries": entries}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    digest = sha256(canonical.encode("utf-8")).hexdigest()
+    return f'{canonical[:-1]},"sha256":"{digest}"}}'.encode("utf-8")
 
 
 class TestRoundTrip:
@@ -69,6 +92,20 @@ class TestRoundTrip:
             store.put_many([(b"key", np.zeros(ROW_LEN + 1))])
         store.close()
 
+    def test_rejected_put_stores_nothing(self, tmp_path):
+        """A wrong-width row after good ones in one call writes no record,
+        so the next append's bookkeeping still points at its own bytes."""
+        store = make_store(tmp_path)
+        with pytest.raises(ValueError, match="payload bytes"):
+            store.put_many([*rows(2), (b"narrow", np.zeros(2))])
+        assert len(store) == 0
+        assert store.stats["appends"] == 0
+        raw, row = rows(3, seed=1)[2]
+        store.put_many([(raw, row)])
+        assert store.get_many([raw])[raw].tobytes() == row.tobytes()
+        assert store.stats["corrupt_records"] == 0
+        store.close()
+
 
 class TestPersistence:
     def test_survives_reopen(self, tmp_path):
@@ -78,61 +115,43 @@ class TestPersistence:
         reopened = make_store(tmp_path)
         got = reopened.get_many([raw for raw, _ in pairs])
         assert len(got) == 8
-        reopened.close()
-
-    def test_index_rebuild_from_segments(self, tmp_path):
-        pairs = rows(4)
-        with make_store(tmp_path) as store:
-            store.put_many(pairs)
-            directory = store.directory
-        (directory / "index.json").unlink()
-        reopened = make_store(tmp_path)
-        assert len(reopened.get_many([raw for raw, _ in pairs])) == 4
-        assert reopened.stats["segments_scanned"] >= 1
-        reopened.close()
-
-    def test_tampered_index_is_rebuilt(self, tmp_path):
-        pairs = rows(4)
-        with make_store(tmp_path) as store:
-            store.put_many(pairs)
-            directory = store.directory
-        index = directory / "index.json"
-        index.write_text(index.read_text().replace('"entries"', '"entr1es"', 1))
-        reopened = make_store(tmp_path)
-        assert len(reopened.get_many([raw for raw, _ in pairs])) == 4
+        assert reopened.stats["segments_scanned"] == 1
         reopened.close()
 
     def test_flushed_store_reopens_without_close(self, tmp_path):
         """A writer killed after flush() but before close() loses nothing."""
-        indexed, flushed = rows(4), rows(9)[4:]
+        closed, flushed = rows(4), rows(9)[4:]
         with make_store(tmp_path) as store:
-            store.put_many(indexed)
-        index = store.directory / "index.json"
-        before = index.read_bytes()
+            store.put_many(closed)
         writer = make_store(tmp_path)
         writer.put_many(flushed[:2])
         writer.flush()
         writer.put_many(flushed[2:])
         writer.flush()
-        assert index.read_bytes() == before  # flush leaves the index alone
         reopened = make_store(tmp_path)
-        got = reopened.get_many([raw for raw, _ in indexed + flushed])
-        assert len(got) == len(indexed + flushed)
-        for raw, row in indexed + flushed:
+        got = reopened.get_many([raw for raw, _ in closed + flushed])
+        assert len(got) == len(closed + flushed)
+        for raw, row in closed + flushed:
             assert got[raw].tobytes() == row.tobytes()
         reopened.close()
         writer.close()
 
-    def test_close_writes_the_index_flush_does_not(self, tmp_path):
-        store = make_store(tmp_path)
-        store.put_many(rows(3))
-        store.flush()
-        assert not (store.directory / "index.json").exists()
-        store.close()
-        assert (store.directory / "index.json").exists()
+    def test_earlier_index_is_ignored(self, tmp_path):
+        """A namespace an earlier version left, ``index.json`` included,
+        serves every row; the index is never read or rewritten."""
+        pairs = rows(6)
+        with make_store(tmp_path) as store:
+            store.put_many(pairs[:4])
+        index = store.directory / "index.json"
+        index.write_bytes(earlier_index(store.directory))
+        before = index.read_bytes()
         with make_store(tmp_path) as reopened:
-            assert reopened.stats["segments_scanned"] == 0
-            assert len(reopened) == 3
+            assert reopened.stats["segments_scanned"] == 1
+            reopened.put_many(pairs[4:])
+            got = reopened.get_many([raw for raw, _ in pairs])
+        assert {raw: row.tobytes() for raw, row in got.items()} == \
+               {raw: row.tobytes() for raw, row in pairs}
+        assert index.read_bytes() == before
 
     def test_model_key_namespaces_are_isolated(self, tmp_path):
         pairs = rows(3)
@@ -172,7 +191,6 @@ class TestCorruption:
         with make_store(tmp_path) as store:
             store.put_many(pairs)
             directory = store.directory
-        (directory / "index.json").unlink()  # force a scan
         segment = next(directory.glob("seg-*.bin"))
         with open(segment, "ab") as handle:
             handle.write(b"\x01\x02\x03 torn half-record")
