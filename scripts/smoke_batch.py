@@ -9,8 +9,9 @@ Walks the crash-recovery story the way an unlucky operator would:
 3. ``batch status`` — the job is incomplete, checkpoints partial;
 4. ``batch resume`` — the job completes;
 5. verify the merged results are bit-identical to an uninterrupted
-   reference run of the same corpus, and that the injected kill is
-   enumerated in the merged failure report.
+   reference run of the same corpus, that the injected kill is
+   enumerated in the merged failure report, and that the job directory
+   holds only ``job.json``, the journal and ``results.json``.
 
 Exit status is the smoke's verdict, so CI can run it directly.
 """
@@ -30,6 +31,10 @@ from repro.core.config import CatiConfig  # noqa: E402
 from repro.core.pipeline import Cati  # noqa: E402
 from repro.datasets.corpus import build_small_corpus  # noqa: E402
 from repro.embedding.word2vec import Word2VecConfig  # noqa: E402
+
+
+#: Everything a finished job leaves in its directory.
+JOB_DIR_ENTRIES = ["job.json", "journal.log", "results.json"]
 
 
 def fail(message: str) -> None:
@@ -113,9 +118,12 @@ def main() -> None:
         final = batch(["status", "--job-dir", job_dir, "--json"])
         if not json.loads(final.stdout)["complete"]:
             fail("job not complete after resume")
+        entries = sorted(os.listdir(job_dir))
+        if entries != JOB_DIR_ENTRIES:
+            fail(f"job directory holds {entries}, expected {JOB_DIR_ENTRIES}")
 
     print("smoke_batch: OK (kill -> resume -> bit-identical results, "
-          "interruption enumerated)")
+          "interruption enumerated, job directory holds three files)")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ On-disk layout (one namespace directory per model)::
 Each segment record is self-verifying, and every record of a store has
 the same size (the row width fixes the payload length)::
 
-    magic u32 | paylen u32 | crc32 u32 (payload) | key 32 B (SHA-256
-    of the window's token-id bytes) | payload (float64 leaf row)
+    magic u32 | paylen u32 | crc32 u32 (key + payload) | key 32 B
+    (SHA-256 of the window's token-id bytes) | payload (float64 leaf row)
 
 Design contract — the cache is an *accelerator*, never an authority:
 
@@ -31,9 +31,10 @@ Design contract — the cache is an *accelerator*, never an authority:
   can never serve a new model;
 * **the segments are the only state** — opening a store scans every
   segment once, in blocks of whole records, and adopts each record
-  whose CRC holds; nothing else is read or written.  An ``index.json``
-  left in a namespace by an earlier version is ignored and may be
-  deleted;
+  whose CRC holds; nothing else is read or written.  The CRC covers the
+  key, so a damaged key is never adopted.  An ``index.json`` left in a
+  namespace by an earlier version is ignored and may be deleted, and a
+  segment written before the CRC covered the key reads as damaged;
 * **append-only + crash-tolerant** — writers only ever append to their
   own uniquely named segment; :meth:`WindowCacheStore.flush` fsyncs it
   and its directory, so every flushed record survives a crash, which
@@ -66,9 +67,9 @@ from repro.core.fsutil import fsync_dir
 
 logger = logging.getLogger(__name__)
 
-#: Record framing: magic, payload length, payload CRC-32.
+#: Record framing: magic, payload length, CRC-32 of key and payload.
 _HEADER = struct.Struct("<III")
-_MAGIC = 0x43A71CA5
+_MAGIC = 0x43A71CA6
 _KEY_LEN = 32
 
 SEGMENT_GLOB = "seg-*.bin"
@@ -118,7 +119,7 @@ class WindowCacheStore:
     # -- opening -----------------------------------------------------------------
 
     def _scan_segment(self, path: Path) -> None:
-        """Adopt every record of ``path`` whose CRC holds.
+        """Adopt every record of ``path`` whose framing and CRC hold.
 
         A damaged record is counted and skipped, and the scan resumes at
         the next record boundary; a short tail is dropped.
@@ -133,9 +134,9 @@ class WindowCacheStore:
                     whole = len(block) - len(block) % record_len
                     for start in range(0, whole, record_len):
                         magic, paylen, crc = _HEADER.unpack_from(block, start)
-                        payload = block[start + payload_at:start + record_len]
                         if (magic != _MAGIC or paylen != self._payload_len
-                                or zlib.crc32(payload) != crc):
+                                or zlib.crc32(block[start + _HEADER.size:
+                                                    start + record_len]) != crc):
                             corrupt += 1
                             continue
                         key = block[start + _HEADER.size:start + payload_at]
@@ -188,14 +189,12 @@ class WindowCacheStore:
                 try:
                     handle = self._reader(name)
                     handle.seek(offset - _HEADER.size - _KEY_LEN)
-                    header = handle.read(_HEADER.size)
-                    stored_key = handle.read(_KEY_LEN)
-                    payload = handle.read(self._payload_len)
-                    magic, paylen, crc = _HEADER.unpack(header)
-                    valid = (magic == _MAGIC and paylen == self._payload_len
-                             and stored_key == key
-                             and len(payload) == self._payload_len
-                             and zlib.crc32(payload) == crc)
+                    record = handle.read(self._record_len)
+                    magic, paylen, crc = _HEADER.unpack_from(record)
+                    valid = (len(record) == self._record_len
+                             and magic == _MAGIC and paylen == self._payload_len
+                             and record[_HEADER.size:_HEADER.size + _KEY_LEN] == key
+                             and zlib.crc32(record[_HEADER.size:]) == crc)
                 except (OSError, struct.error):
                     valid = False
                 if not valid:
@@ -206,7 +205,8 @@ class WindowCacheStore:
                         "window cache %s: record for %s failed verification; "
                         "recomputing", name, key.hex()[:12])
                     continue
-                out[raw] = np.frombuffer(payload, dtype=np.float64).copy()
+                out[raw] = np.frombuffer(record, dtype=np.float64,
+                                         offset=_HEADER.size + _KEY_LEN).copy()
                 hits += 1
         self.stats["hits"] += hits
         self.stats["misses"] += misses
@@ -250,7 +250,7 @@ class WindowCacheStore:
                 handle = self._active_segment()
                 for key, payload in fresh:
                     handle.write(_HEADER.pack(_MAGIC, self._payload_len,
-                                              zlib.crc32(payload)))
+                                              zlib.crc32(payload, zlib.crc32(key))))
                     handle.write(key)
                     handle.write(payload)
                     self._entries[key] = (

@@ -1,70 +1,168 @@
-"""The on-disk half of a batch job: checkpoints, attempts, quarantine.
+"""The on-disk half of a batch job: one append-only journal.
 
 Layout of a job directory::
 
     <job-dir>/
-    ├── job.json               spec + config snapshot + model identity
-    ├── shards/shard-0007.json committed per-shard checkpoints
-    ├── attempts/shard-0007    crash-surviving attempt counters
-    ├── quarantine/shard-0007.json   poisoned shards, with their history
-    ├── faults/<fault-id>      persisted fault-injection fire counters
-    └── results.json           merged output, written once on completion
+    ├── job.json       spec + config snapshot + model identity
+    ├── journal.log    append-only records: attempts, commits,
+    │                  quarantines, fault-injection fires
+    └── results.json   merged output, written once on completion
+
+Each journal record is one ``\\n``-terminated line::
+
+    <kind> <subject> <sha256> <body>
+
+``body`` is the canonical JSON (:func:`repro.batch.spec.canonical_json`,
+which escapes newlines) of an object that names the subject again, and
+``sha256`` digests that text.  A record is *verified* when its digest
+holds, its body parses and the body names the header's subject.  Kinds:
+
+* ``attempt <shard>`` — body ``{"shard": N}``; a shard's attempt count
+  is the number of its verified attempt records;
+* ``commit <shard>`` — body is the shard's checkpoint payload;
+* ``quarantine <shard>`` — body ``{"shard", "reason", "attempts",
+  "failures"}``;
+* ``fault <fault-id>`` — body ``{"fault": id}``; only
+  ``REPRO_BATCH_FAULT`` writes these.
 
 Durability contract:
 
-* **checkpoints commit atomically** (:func:`repro.core.fsutil
-  .atomic_write`) and are wrapped in a self-checksum envelope
-  (``{"format", "sha256", "payload"}`` where ``sha256`` digests the
-  canonical JSON of the payload), so a reader can distinguish "never
-  written" from "partially written" from "committed" — a torn or
-  tampered checkpoint is *detected*, counted, and recomputed, never
-  trusted;
-* **attempt counters are bumped and fsynced BEFORE the shard runs**, so
-  a shard that SIGKILLs the process still consumes an attempt on
-  resume; a shard whose counter exceeds ``max_retries + 1`` without a
-  committed checkpoint is quarantined instead of re-run forever
-  (poison-shard protection);
-* **checkpoints bind to their inputs**: the payload records
-  ``inputs_sha256`` (shard items + model content key); a checkpoint
-  whose digest does not match the current job is stale and ignored.
+* **every append is durable before its call returns** — written,
+  flushed and fsynced to the journal, which the store opens once per
+  job; the job directory is fsynced once, when the journal is created;
+* **attempts are charged BEFORE the shard runs**, so a shard that
+  SIGKILLs the process still consumes an attempt on resume; a shard
+  whose count reaches ``max_retries + 1`` without a committed
+  checkpoint is quarantined instead of re-run forever (poison-shard
+  protection);
+* **commits bind to their inputs**: the payload records
+  ``inputs_sha256`` (shard items + model content key); a shard's last
+  verified commit wins, and one whose digest does not match the current
+  job is stale and ignored;
+* **damage costs one record**: a reader scans the journal line by line
+  and skips (logs and counts under ``batch.checkpoints.invalid``) every
+  line that does not verify; an unterminated last line — a kill
+  mid-append, or a writer still appending — is ignored, and a writer
+  cuts it off (truncate + fsync) before its first append, so a torn
+  record never merges with the next one.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.batch.spec import JobSpec, canonical_json, sha256_hex
 from repro.core import observability
 from repro.core.errors import BatchError
-from repro.core.fsutil import atomic_write
+from repro.core.fsutil import atomic_write, fsync_dir
 
 logger = logging.getLogger(__name__)
 
 JOB_FORMAT = "cati-batch-job/1"
-CHECKPOINT_FORMAT = "cati-batch-checkpoint/1"
+JOURNAL_NAME = "journal.log"
+
+#: Record kind → the body field that names the record's subject.
+_SUBJECT_FIELDS = {"attempt": "shard", "commit": "shard",
+                   "quarantine": "shard", "fault": "fault"}
 
 
-def _shard_name(index: int) -> str:
-    return f"shard-{index:04d}"
+def journal_line(kind: str, subject: int | str, body: dict) -> bytes:
+    """One journal record: ``<kind> <subject> <sha256> <body>\\n``."""
+    canonical = canonical_json(body)
+    return (f"{kind} {subject} {sha256_hex(canonical)} {canonical}\n"
+            .encode("utf-8"))
+
+
+def _verified(line: bytes) -> tuple[str, int | str, dict] | None:
+    """(kind, subject, body) of one complete journal line, or None.
+
+    ``line`` has no newline.  The digest is checked against the body
+    bytes as written, which are the canonical text it was taken over.
+    """
+    parts = line.split(b" ", 3)
+    if len(parts) != 4 or sha256_hex(parts[3]).encode("ascii") != parts[2]:
+        return None
+    try:
+        kind = parts[0].decode("ascii")
+        body = json.loads(parts[3])
+    except ValueError:  # includes UnicodeDecodeError
+        return None
+    name = _SUBJECT_FIELDS.get(kind)
+    if name is None or not isinstance(body, dict):
+        return None
+    subject = body.get(name)
+    wanted = int if name == "shard" else str
+    if type(subject) is not wanted or str(subject).encode("utf-8") != parts[1]:
+        return None
+    return kind, subject, body
+
+
+@dataclass
+class _Journal:
+    """What one scan of the journal found, kept current by appends."""
+
+    attempts: Counter = field(default_factory=Counter)
+    #: shard → its last verified commit payload
+    commits: dict[int, dict] = field(default_factory=dict)
+    #: shards some commit line names, verified or damaged
+    named: set[int] = field(default_factory=set)
+    quarantined: dict[int, dict] = field(default_factory=dict)
+    fault_fires: Counter = field(default_factory=Counter)
+    #: bytes up to the end of the last complete line
+    end: int = 0
+
+    def damaged(self, line: bytes, number: int) -> None:
+        """Skip and count a line that does not verify.
+
+        A damaged commit whose header still names its shard marks that
+        shard for ``batch status``.
+        """
+        head = line.split(b" ", 2)
+        if head[0] == b"commit" and len(head) > 1 and head[1].isdigit():
+            self.named.add(int(head[1]))
+        logger.warning("journal line %d is damaged; ignoring that record",
+                       number)
+        observability.inc("batch.checkpoints.invalid")
+
+    def add(self, kind: str, subject: int | str, body: dict) -> None:
+        """Fold one verified record into the state."""
+        if kind == "attempt":
+            self.attempts[subject] += 1
+        elif kind == "commit":
+            self.commits[subject] = body
+            self.named.add(subject)
+        elif kind == "quarantine":
+            self.quarantined[subject] = body
+        else:
+            self.fault_fires[subject] += 1
 
 
 class BatchJobStore:
-    """Filesystem state machine for one batch job."""
+    """Filesystem state machine for one batch job.
+
+    The journal is scanned once, on first use, and appends keep that
+    state current; :meth:`close` releases the journal's handle.
+    """
 
     def __init__(self, job_dir: str | Path) -> None:
         self.job_dir = Path(job_dir)
-        self.shards_dir = self.job_dir / "shards"
-        self.attempts_dir = self.job_dir / "attempts"
-        self.quarantine_dir = self.job_dir / "quarantine"
-        self.faults_dir = self.job_dir / "faults"
+        self._state: _Journal | None = None
+        self._handle = None
 
     # -- creation / opening ------------------------------------------------------
 
     @property
     def job_path(self) -> Path:
         return self.job_dir / "job.json"
+
+    @property
+    def journal_path(self) -> Path:
+        return self.job_dir / JOURNAL_NAME
 
     @property
     def results_path(self) -> Path:
@@ -81,9 +179,6 @@ class BatchJobStore:
                 f"{self.job_dir} already holds a job; use 'batch resume' "
                 "(or point --job-dir somewhere fresh)",
                 job_dir=str(self.job_dir), stage="batch")
-        for directory in (self.shards_dir, self.attempts_dir,
-                          self.quarantine_dir, self.faults_dir):
-            directory.mkdir(parents=True, exist_ok=True)
         body = {
             "format": JOB_FORMAT,
             "spec": spec.to_dict(),
@@ -111,85 +206,110 @@ class BatchJobStore:
             raise BatchError(
                 f"{self.job_path} is not a {JOB_FORMAT} document",
                 job_dir=str(self.job_dir), stage="batch")
-        for directory in (self.shards_dir, self.attempts_dir,
-                          self.quarantine_dir, self.faults_dir):
-            directory.mkdir(parents=True, exist_ok=True)
         return body
+
+    # -- the journal -------------------------------------------------------------
+
+    def _journal(self) -> _Journal:
+        """The journal's state, scanned line by line on first use."""
+        if self._state is not None:
+            return self._state
+        state = _Journal()
+        try:
+            with open(self.journal_path, "rb") as handle:
+                for number, line in enumerate(handle, 1):
+                    if not line.endswith(b"\n"):
+                        break  # a torn tail, or a record still being written
+                    state.end += len(line)
+                    record = _verified(line[:-1])
+                    if record is None:
+                        state.damaged(line[:-1], number)
+                    else:
+                        state.add(*record)
+        except FileNotFoundError:
+            pass
+        except OSError as error:
+            raise BatchError(f"{self.journal_path} is unreadable: {error}",
+                             job_dir=str(self.job_dir),
+                             stage="batch") from error
+        self._state = state
+        return state
+
+    def append(self, record: bytes) -> None:
+        """Append ``record`` to the journal and make it durable.
+
+        Every record goes through here; fault injection also appends a
+        torn one.  The first append opens the journal, first cutting off
+        any unterminated tail the scan found.
+        """
+        state = self._journal()
+        if self._handle is None:
+            created = not self.journal_path.exists()
+            self._handle = open(self.journal_path, "ab")
+            if created:
+                fsync_dir(self.job_dir)
+            elif os.fstat(self._handle.fileno()).st_size > state.end:
+                logger.warning("journal %s: torn tail after byte %d cut off",
+                               self.journal_path, state.end)
+                self._handle.truncate(state.end)
+                os.fsync(self._handle.fileno())
+        self._handle.write(record)
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        if record.endswith(b"\n"):
+            state.end += len(record)
+
+    def _record(self, kind: str, subject: int | str, body: dict) -> _Journal:
+        """Append one record durably, then fold it into the state."""
+        self.append(journal_line(kind, subject, body))
+        state = self._journal()
+        state.add(kind, subject, body)
+        return state
+
+    def close(self) -> None:
+        """Release the journal's handle; a later append reopens it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     # -- checkpoints -------------------------------------------------------------
 
-    def checkpoint_path(self, index: int) -> Path:
-        return self.shards_dir / f"{_shard_name(index)}.json"
-
     def write_checkpoint(self, index: int, payload: dict) -> None:
-        """Commit one shard's results atomically, self-checksummed.
+        """Commit one shard's results: one durable, self-checksummed record.
 
-        The envelope is written around the payload's canonical JSON, the
-        text its checksum digests, so the payload is encoded once.
+        The payload names its shard, which a reader checks against the
+        record's header.
         """
-        canonical = canonical_json(payload)
-        atomic_write(self.checkpoint_path(index),
-                     f'{{"format": "{CHECKPOINT_FORMAT}", '
-                     f'"sha256": "{sha256_hex(canonical)}", '
-                     f'"payload": {canonical}}}')
+        if payload.get("shard") != index:
+            raise ValueError(f"payload names shard {payload.get('shard')!r}, "
+                             f"not {index}")
+        self._record("commit", index, payload)
         observability.inc("batch.checkpoints.committed")
 
     def read_checkpoint(self, index: int, *,
                         expected_inputs: str | None = None) -> dict | None:
-        """A shard's committed payload, or ``None`` with the reason logged.
+        """A shard's last verified commit, or ``None``.
 
-        ``None`` covers three distinct situations, each counted
-        separately: the checkpoint was never written; it exists but is
-        torn, corrupt or undecodable (caught by the envelope checks and
-        checksum); or it is valid but stale (``inputs_sha256`` no longer
-        matches ``expected_inputs`` — manifest or model drift).
+        ``None`` covers three situations, each counted separately: no
+        commit was written; every commit of the shard is damaged
+        (counted under ``batch.checkpoints.invalid`` when the journal is
+        scanned); or the last verified one is stale (``inputs_sha256``
+        no longer matches ``expected_inputs`` — manifest or model drift).
         """
-        path = self.checkpoint_path(index)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as error:
-            logger.warning("checkpoint %s unreadable (%s); will recompute",
-                           path.name, error)
-            observability.inc("batch.checkpoints.invalid")
-            return None
-        payload = None
-        try:
-            envelope = json.loads(raw.decode("utf-8"))
-            if (isinstance(envelope, dict)
-                    and envelope.get("format") == CHECKPOINT_FORMAT
-                    and isinstance(envelope.get("payload"), dict)
-                    and envelope.get("sha256")
-                    == sha256_hex(canonical_json(envelope["payload"]))):
-                payload = envelope["payload"]
-        except ValueError:  # includes UnicodeDecodeError
-            pass
-        if payload is None:
-            logger.warning(
-                "checkpoint %s is partial or corrupt; discarding and "
-                "recomputing the shard", path.name)
-            observability.inc("batch.checkpoints.invalid")
-            return None
-        if (expected_inputs is not None
+        payload = self._journal().commits.get(index)
+        if (payload is not None and expected_inputs is not None
                 and payload.get("inputs_sha256") != expected_inputs):
             logger.warning(
-                "checkpoint %s was computed from different inputs "
-                "(manifest or model drift); recomputing", path.name)
+                "checkpoint of shard %d was computed from different inputs "
+                "(manifest or model drift); recomputing", index)
             observability.inc("batch.checkpoints.stale")
             return None
         return payload
 
     # -- attempts / quarantine ---------------------------------------------------
 
-    def attempts_path(self, index: int) -> Path:
-        return self.attempts_dir / _shard_name(index)
-
     def attempts(self, index: int) -> int:
-        try:
-            return int(self.attempts_path(index).read_text())
-        except (OSError, ValueError):
-            return 0
+        return self._journal().attempts[index]
 
     def bump_attempts(self, index: int) -> int:
         """Charge one attempt, durably, *before* the shard runs.
@@ -199,52 +319,36 @@ class BatchJobStore:
         disk, so a poisoned shard cannot SIGKILL the job forever — the
         resume path sees the count and quarantines it.
         """
-        count = self.attempts(index) + 1
-        atomic_write(self.attempts_path(index), str(count))
-        return count
-
-    def quarantine_path(self, index: int) -> Path:
-        return self.quarantine_dir / f"{_shard_name(index)}.json"
+        return self._record("attempt", index, {"shard": index}).attempts[index]
 
     def is_quarantined(self, index: int) -> bool:
-        return self.quarantine_path(index).exists()
+        return index in self._journal().quarantined
 
     def quarantine(self, index: int, *, reason: str,
                    failure_records: list[dict]) -> None:
         body = {"shard": index, "reason": reason,
                 "attempts": self.attempts(index),
                 "failures": failure_records}
-        atomic_write(self.quarantine_path(index),
-                     json.dumps(body, indent=2, sort_keys=True))
+        self._record("quarantine", index, body)
         observability.inc("batch.shards.quarantined")
         logger.error("shard %d quarantined after %d attempt(s): %s",
                      index, body["attempts"], reason)
 
     def read_quarantine(self, index: int) -> dict | None:
-        try:
-            return json.loads(self.quarantine_path(index).read_text())
-        except (OSError, ValueError):
-            return None
+        return self._journal().quarantined.get(index)
 
     # -- fault-injection counters ------------------------------------------------
 
     def fault_fires(self, fault_id: str) -> int:
-        try:
-            return int((self.faults_dir / fault_id).read_text())
-        except (OSError, ValueError):
-            return 0
+        return self._journal().fault_fires[fault_id]
 
     def record_fault_fire(self, fault_id: str) -> int:
-        count = self.fault_fires(fault_id) + 1
-        self.faults_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write(self.faults_dir / fault_id, str(count))
-        return count
+        return self._record("fault", fault_id, {"fault": fault_id}).fault_fires[fault_id]
 
     # -- results / status --------------------------------------------------------
 
     def write_results(self, body: dict) -> None:
-        atomic_write(self.results_path,
-                     json.dumps(body, indent=2, sort_keys=True))
+        atomic_write(self.results_path, canonical_json(body))
 
     def status(self) -> dict:
         """Scan the job directory into a human/machine-readable summary."""
@@ -252,6 +356,7 @@ class BatchJobStore:
         spec = JobSpec.from_dict(body["spec"])
         model_key = body.get("model_key", "")
         total = len(spec.shards())
+        named = self._journal().named
         committed: list[int] = []
         invalid: list[int] = []
         quarantined: list[int] = []
@@ -261,15 +366,12 @@ class BatchJobStore:
                 quarantined.append(index)
                 continue
             expected = spec.shard_inputs_sha256(index, model_key)
-            had_file = self.checkpoint_path(index).exists()
-            payload = self.read_checkpoint(index, expected_inputs=expected)
-            if payload is not None:
+            if self.read_checkpoint(index, expected_inputs=expected) is not None:
                 committed.append(index)
-            elif had_file:
+                continue
+            pending.append(index)
+            if index in named:
                 invalid.append(index)
-                pending.append(index)
-            else:
-                pending.append(index)
         return {
             "job_dir": str(self.job_dir),
             "model_dir": body.get("model_dir"),

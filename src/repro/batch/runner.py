@@ -4,7 +4,7 @@
 binary-level shards on the :class:`~repro.batch.job.BatchJobStore`
 queue and drives each shard's binaries, one at a time, through
 :meth:`~repro.core.engine.InferenceEngine.infer_binary`, committing one
-atomic checkpoint per shard.  :func:`resume_job` replays
+checkpoint record per shard to the job's journal.  :func:`resume_job` replays
 a job directory after *any* interruption — SIGKILL, OOM, power cut —
 recomputing only shards without a valid committed checkpoint, so the
 final merged result is bit-identical to an uninterrupted run (asserted
@@ -25,12 +25,11 @@ installs one scripted fault::
     REPRO_BATCH_FAULT="torn:shard=2:point=torn-commit:times=2"
     REPRO_BATCH_FAULT="raise:shard=0:point=pre-commit"
 
-``kill`` SIGKILLs the process at the point; ``torn`` first writes a
-deliberately truncated checkpoint *directly to the final path*
-(bypassing the atomic commit) then SIGKILLs, simulating a torn write
-on a non-atomic filesystem; ``raise`` throws a transient error into
-the shard retry loop.  Fire counts persist in the job directory so a
-fault fires exactly ``times`` times across resumes.
+``kill`` SIGKILLs the process at the point; ``torn`` appends half a
+commit record to the job's journal, without its newline, fsyncs it and
+then SIGKILLs, simulating a kill mid-append; ``raise`` throws a
+transient error into the shard retry loop.  Fire counts persist in the
+journal so a fault fires exactly ``times`` times across resumes.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.batch.cache import WindowCacheStore
-from repro.batch.job import BatchJobStore
+from repro.batch.job import BatchJobStore, journal_line
 from repro.batch.spec import JobSpec, ManifestItem
 from repro.core import observability
 from repro.core.artifacts import ModelBundle
@@ -122,11 +121,9 @@ class FaultPlan:
                 f"injected fault at shard {shard} {point}",
                 shard=shard, stage="batch")
         if self.mode == "torn":
-            # Simulate a torn write: dump half an (unchecksummable)
-            # checkpoint straight to the final path, no temp, no rename.
-            path = store.checkpoint_path(shard)
-            body = '{"format": "cati-batch-checkpoint/1", "payload": {"tr'
-            path.write_text(body, encoding="utf-8")
+            # Simulate a kill mid-append: half a commit record, no newline.
+            record = journal_line("commit", shard, {"shard": shard})
+            store.append(record[:len(record) // 2])
         os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -250,6 +247,7 @@ def _execute(store: BatchJobStore, body: dict, cati: Cati, *,
                 ran += 1
             payloads.append(payload)
     finally:
+        store.close()
         if cache is not None:
             cache.close()
             cati.engine.attach_window_store(None)
@@ -428,8 +426,8 @@ def resume_job(job_dir: str | Path, *, model_dir: str | None = None,
     """Resume an interrupted job exactly where it died.
 
     Shards with a valid committed checkpoint are reused verbatim;
-    partially-written checkpoints are detected (envelope checksum),
-    discarded and recomputed.  Model or structural-config drift since
+    torn or damaged commit records are detected (checksum), discarded
+    and recomputed.  Model or structural-config drift since
     job creation raises :class:`ConfigMismatchError` unless ``force``.
     """
     store = BatchJobStore(job_dir)

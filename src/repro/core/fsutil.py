@@ -2,8 +2,8 @@
 
 Three places used to hand-roll "write a temp file next to the target and
 rename it into place": the CLI's ``--metrics-out`` dump, the model
-bundle's directory swap, and (new) the batch checkpoint commit.  They
-now share these helpers, which add the two details the ad-hoc versions
+bundle's directory swap, and a batch job's ``job.json`` and
+``results.json``.  They now share these helpers, which add the two details the ad-hoc versions
 skipped:
 
 * the temp file is **fsynced before the rename**, so a power cut right

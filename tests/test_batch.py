@@ -6,8 +6,9 @@ The headline assertions mirror ISSUE acceptance:
   torn-commit, post-commit) resumes to predictions **bit-identical** to
   an uninterrupted run, with every work-losing interruption enumerated
   in the merged failure report;
-* a partially-written checkpoint is detected (envelope checksum) and
-  recomputed, never trusted;
+* a torn or damaged commit record is detected (checksum) and
+  recomputed, never trusted, and a torn tail never swallows the next
+  record;
 * a poisoned shard consumes its bounded attempt budget — with the
   backoff schedule deterministic under a seeded jitter RNG — and lands
   in quarantine instead of wedging the job.
@@ -35,9 +36,9 @@ from repro.batch import (
     resume_job,
     run_job,
 )
-from repro.batch.job import CHECKPOINT_FORMAT
+from repro.batch.job import JOURNAL_NAME, journal_line
 from repro.batch.runner import FaultPlan
-from repro.batch.spec import ManifestItem, canonical_json, sha256_hex
+from repro.batch.spec import ManifestItem
 from repro.core import observability
 from repro.core.errors import (
     BatchError,
@@ -226,6 +227,13 @@ def without_run_counts(results: dict) -> dict:
             if key not in ("elapsed_s", "shards_run", "shards_reused")}
 
 
+def commit_span(job_dir: Path, shard: int) -> tuple[int, int]:
+    """Byte range of ``shard``'s last commit record in the job's journal."""
+    data = (job_dir / JOURNAL_NAME).read_bytes()
+    start = data.rindex(f"\ncommit {shard} ".encode()) + 1
+    return start, data.index(b"\n", start) + 1
+
+
 def small_spec(n=3, **kwargs):
     kwargs.setdefault("shard_size", 2)
     kwargs.setdefault("backoff", 0.0)
@@ -249,6 +257,13 @@ class TestJobLifecycle:
                    [d.variable_id for d in direct]
             assert [p["predicted"] for p in got] == \
                    [str(d.predicted) for d in direct]
+
+    def test_job_dir_holds_job_journal_and_results(self, tmp_path,
+                                                   mini_bundle_dir):
+        job_dir = tmp_path / "job"
+        run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
+        assert sorted(path.name for path in job_dir.iterdir()) == \
+               sorted(["job.json", JOURNAL_NAME, "results.json"])
 
     def test_job_leaves_only_segments_in_the_cache(self, tmp_path,
                                                    mini_bundle_dir):
@@ -306,24 +321,45 @@ class TestJobLifecycle:
                                                         mini_bundle_dir):
         job_dir = tmp_path / "job"
         first = run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
-        store = BatchJobStore(job_dir)
-        path = store.checkpoint_path(0)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        journal = job_dir / JOURNAL_NAME
+        start, end = commit_span(job_dir, 1)
+        journal.write_bytes(journal.read_bytes()[:(start + end) // 2])
         status = job_status(job_dir)
-        assert status["shards"]["invalid"] == [0]
+        assert status["shards"]["pending"] == [1]
+        assert status["shards"]["invalid"] == []
         assert not status["complete"]
         resumed = resume_job(job_dir)
         assert resumed["shards_run"] == 1
         assert resumed["predictions"] == first["predictions"]
 
+    def test_commit_after_a_torn_tail_reads_back(self, tmp_path,
+                                                 mini_bundle_dir):
+        """The resume cuts the torn commit off before it appends, so its
+        own records read back whole on the next open."""
+        job_dir = tmp_path / "job"
+        run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
+        journal = job_dir / JOURNAL_NAME
+        start, end = commit_span(job_dir, 1)
+        journal.write_bytes(journal.read_bytes()[:(start + end) // 2])
+        resumed = resume_job(job_dir)
+        assert resumed["shards_run"] == 1
+        before = invalid_count()
+        status = job_status(job_dir)
+        assert status["complete"] and status["shards"]["committed"] == 2
+        assert invalid_count() == before
+        store = BatchJobStore(job_dir)
+        assert store.attempts(1) == 2
+        assert store.read_checkpoint(1)["attempts"] == 2
+
     def test_undecodable_checkpoint_is_invalid_then_recomputed(
             self, tmp_path, mini_bundle_dir):
         job_dir = tmp_path / "job"
         first = run_job(job_dir, small_spec(3), model_dir=mini_bundle_dir)
-        path = BatchJobStore(job_dir).checkpoint_path(1)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] = 0xFF  # one flipped byte: no longer UTF-8
-        path.write_bytes(bytes(data))
+        journal = job_dir / JOURNAL_NAME
+        data = bytearray(journal.read_bytes())
+        start, end = commit_span(job_dir, 1)
+        data[(start + end) // 2] = 0xFF  # one flipped byte: no longer UTF-8
+        journal.write_bytes(bytes(data))
         before = invalid_count()
         status = job_status(job_dir)
         assert status["shards"]["invalid"] == [1]
@@ -408,28 +444,32 @@ class TestCheckpointEnvelope:
                                  "n_vucs": 2, "scores": [0.1, -0.0, 1e-300]}]],
                "failures": [], "attempts": 1}
 
-    def test_reads_back_what_it_wrote_and_the_earlier_encoding(self, tmp_path):
-        store = BatchJobStore(tmp_path / "job")
+    def test_reads_back_what_it_wrote(self, tmp_path):
+        second = {**self.PAYLOAD, "shard": 1}
+        store = BatchJobStore(tmp_path)
         store.write_checkpoint(0, self.PAYLOAD)
         assert store.read_checkpoint(0, expected_inputs="ab" * 32) == self.PAYLOAD
-        # Earlier versions dumped the whole envelope with default separators.
-        store.checkpoint_path(1).write_text(json.dumps({
-            "format": CHECKPOINT_FORMAT,
-            "sha256": sha256_hex(canonical_json(self.PAYLOAD)),
-            "payload": self.PAYLOAD}))
-        assert store.read_checkpoint(1, expected_inputs="ab" * 32) == self.PAYLOAD
+        store.close()
+        store.write_checkpoint(1, second)  # reopens the journal
+        store.close()
+        reopened = BatchJobStore(tmp_path)
+        assert reopened.read_checkpoint(0, expected_inputs="ab" * 32) == self.PAYLOAD
+        assert reopened.read_checkpoint(1, expected_inputs="ab" * 32) == second
+        assert reopened.read_checkpoint(0, expected_inputs="cd" * 32) is None
 
     @pytest.mark.parametrize("payload", [["not", "an", "object"], "text", 7, None])
     def test_checksum_valid_non_object_payload_is_invalid(self, tmp_path, payload):
-        store = BatchJobStore(tmp_path / "job")
-        store.shards_dir.mkdir(parents=True)
-        store.checkpoint_path(0).write_text(json.dumps({
-            "format": CHECKPOINT_FORMAT,
-            "sha256": sha256_hex(canonical_json(payload)),
-            "payload": payload}))
+        (tmp_path / JOURNAL_NAME).write_bytes(journal_line("commit", 0, payload))
         before = invalid_count()
+        store = BatchJobStore(tmp_path)
         assert store.read_checkpoint(0, expected_inputs="ab" * 32) is None
         assert invalid_count() == before + 1
+
+    def test_payload_must_name_its_shard(self, tmp_path):
+        store = BatchJobStore(tmp_path)
+        with pytest.raises(ValueError, match="names shard 0"):
+            store.write_checkpoint(1, self.PAYLOAD)
+        assert not (tmp_path / JOURNAL_NAME).exists()
 
 
 # -- SIGKILL / resume (subprocess) -------------------------------------------------

@@ -8,9 +8,12 @@ variable, then ``struct_layouts``), ``repro infer --json --structs``,
 a two-worker router serving ``binary`` jobs and a session walk (sticky
 routing), ``batch.run_job(structs=True)``, a second ``run_job`` over
 a window cache the first filled (every leaf row read back from disk),
-and a ``repro batch run`` SIGKILLed right after a shard commits, then
+a ``repro batch run`` SIGKILLed right after a shard commits, then
 resumed (its results merge shards read back from disk with a shard
-computed in memory).  Every entry point is reduced to one canonical
+computed in memory), and a job over poisoned copies of the corpus under
+``on_error="skip"``, resumed so that every shard, failure records
+included, is read back from the journal; its reference is offline
+inference over the same poisoned copies.  Every entry point is reduced to one canonical
 form and compared with the reference: variable id, type and VUC count
 exactly, vote scores to 1e-6 (a request coalesced into another batch
 composition may move leaf probabilities at the ~1e-8 level), struct
@@ -42,6 +45,7 @@ from repro.serve import protocol
 from repro.serve.client import ServeClient, SessionHandle
 from repro.serve.router import RouterDaemon
 from repro.vuc.stream import extract_vuc_stream
+from tests.faultinject import poison_binary
 from tests.test_serve import start_daemon, stop_daemon
 
 #: One seeded binary per optimization level.
@@ -91,8 +95,8 @@ def jobs():
     return {item.name: item.load() for item in CORPUS}
 
 
-def offline(cati, stripped, extents) -> dict:
-    result = cati.infer_binary(stripped, extents, structs=True)
+def offline(cati, stripped, extents, on_error="raise") -> dict:
+    result = cati.infer_binary(stripped, extents, on_error=on_error, structs=True)
     return canonical(
         [protocol.prediction_to_dict(p) for p in result],
         [protocol.layout_to_dict(layout) for layout in result.layouts],
@@ -102,6 +106,19 @@ def offline(cati, stripped, extents) -> dict:
 @pytest.fixture(scope="module")
 def reference(mini_cati, jobs) -> dict:
     return {name: offline(mini_cati, *job) for name, job in jobs.items()}
+
+
+@pytest.fixture(scope="module")
+def poisoned_jobs(jobs) -> dict:
+    """Each corpus binary with ~20% of its functions undecodable."""
+    return {name: (poison_binary(stripped)[0], extents)
+            for name, (stripped, extents) in jobs.items()}
+
+
+@pytest.fixture(scope="module")
+def poisoned_reference(mini_cati, poisoned_jobs) -> dict:
+    return {name: offline(mini_cati, *job, on_error="skip")
+            for name, job in poisoned_jobs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +285,23 @@ def _batch_resume(env) -> dict:
     return _batch_answers(results)
 
 
+def _batch_poisoned(env) -> dict:
+    """Poisoned binaries, one shard each, skipped per function; the
+    resume reads every shard's payload back from the journal."""
+    poisoned = env.request.getfixturevalue("poisoned_jobs")
+    env.request.getfixturevalue("monkeypatch").setattr(
+        ManifestItem, "load", lambda item: poisoned[item.name])
+    spec = JobSpec(items=CORPUS, structs=True, shard_size=1, backoff=0.0,
+                   on_error="skip")
+    job_dir = env.tmp_path / "job"
+    first = run_job(job_dir, spec, model_dir=str(env.bundle_dir))
+    results = resume_job(job_dir)
+    assert (results["shards_reused"], results["shards_run"]) == (3, 0)
+    answers = _batch_answers(results)
+    assert answers == _batch_answers(first)
+    return answers
+
+
 def _batch_answers(results: dict) -> dict:
     records = results["failures"]["records"]
     return {item.name: canonical(
@@ -288,11 +322,12 @@ RUNNERS = {
     "batch": _batch,
     "batch-warm-cache": _batch_warm_cache,
     "batch-resume": _batch_resume,
+    "batch-poisoned": _batch_poisoned,
 }
 
 #: Entry points that run the posterior stage and answer with layouts.
 POSTERIOR = ("session", "cli-json", "router-2w-session", "batch", "batch-warm-cache",
-             "batch-resume")
+             "batch-resume", "batch-poisoned")
 
 
 @pytest.mark.parametrize("entry", tuple(RUNNERS))
@@ -303,6 +338,9 @@ def test_entry_point_matches_offline(entry, request, jobs, reference, mini_cati,
     answers = RUNNERS[entry](env)
     if entry == "cli-json":
         reference = request.getfixturevalue("cli_reference")
+    elif entry == "batch-poisoned":
+        reference = request.getfixturevalue("poisoned_reference")
+        assert all(answer["failures"] for answer in reference.values())
     assert answers.keys() == reference.keys()
     for name, answer in answers.items():
         assert answer["predictions"], f"{name}: no predictions to compare"

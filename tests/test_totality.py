@@ -6,9 +6,9 @@ deleted or cut short; JSON nodes replaced by values of any type, or
 removed.  Whatever happens, the only exceptions allowed out are
 :class:`~repro.core.errors.CatiError` subclasses, which every entry
 point maps to a failure record or a 4xx answer.  A batch job's
-checkpoints and its durable window cache come back from disk, where a
-crash or a bad sector may have damaged them: a damaged file must read
-as missing, never raise and never yield a wrong answer.  The examples
+journal and its durable window cache come back from disk, where a
+crash or a bad sector may have damaged them: a damaged record must
+read as missing, never raise and never yield a wrong answer.  The examples
 are derandomized, so the suite is deterministic; raise ``max_examples``
 locally for a longer campaign.
 """
@@ -201,29 +201,52 @@ def test_stream_from_packed(wire_windows, data):
         body.get("windows_packed"), body.get("variable_ids"), 2))
 
 
+def shard_payload(shard: int, attempts: int) -> dict:
+    return {"shard": shard, "inputs_sha256": f"{shard}e" * 32, "items": ["total"],
+            "predictions": [[{"variable_id": "total/0::rbp-8", "predicted": "int",
+                              "n_vucs": 3, "scores": [0.25, 0.5, 1e-9]}]],
+            "failures": [], "attempts": attempts,
+            "layouts": [[{"object_id": "total/0::rbp-8", "n_accesses": 2}]]}
+
+
 @pytest.fixture(scope="module")
-def checkpoint(tmp_path_factory):
-    """A committed checkpoint's bytes and the payload it holds."""
-    payload = {"shard": 0, "inputs_sha256": "5e" * 32, "items": ["total"],
-               "predictions": [[{"variable_id": "total/0::rbp-8", "predicted": "int",
-                                 "n_vucs": 3, "scores": [0.25, 0.5, 1e-9]}]],
-               "failures": [], "attempts": 1,
-               "layouts": [[{"object_id": "total/0::rbp-8", "n_accesses": 2}]]}
-    store = BatchJobStore(tmp_path_factory.mktemp("job"))
-    store.write_checkpoint(0, payload)
-    return store.checkpoint_path(0).read_bytes(), payload
+def journal(tmp_path_factory):
+    """A job journal's bytes, the payloads it commits and the attempt
+    records it holds per shard: shard 0 commits on its first attempt,
+    shard 1 on its second, and shard 2 is quarantined."""
+    directory = tmp_path_factory.mktemp("job")
+    store = BatchJobStore(directory)
+    for shard, attempts in ((0, 1), (1, 2)):
+        for _ in range(attempts):
+            store.bump_attempts(shard)
+        store.write_checkpoint(shard, shard_payload(shard, attempts))
+    store.bump_attempts(2)
+    store.record_fault_fire("raise-shard2-pre-commit")
+    store.quarantine(2, reason="attempt budget exhausted", failure_records=[])
+    store.close()
+    payloads = {0: shard_payload(0, 1), 1: shard_payload(1, 2)}
+    return store.journal_path.read_bytes(), payloads, {0: 1, 1: 2, 2: 1}
 
 
 @SETTINGS
 @given(data=st.data())
-def test_read_checkpoint(checkpoint, data):
-    raw, payload = checkpoint
+def test_read_checkpoint(journal, data):
+    """A mutated journal yields only committed payloads and no extra
+    attempts, and a commit appended to it reads back whole."""
+    raw, payloads, attempts = journal
+    appended = shard_payload(3, 1)
     with tempfile.TemporaryDirectory() as directory:
         store = BatchJobStore(directory)
-        store.shards_dir.mkdir()
-        store.checkpoint_path(0).write_bytes(data.draw(mutations(raw)))
-        got = store.read_checkpoint(0, expected_inputs=payload["inputs_sha256"])
-    assert got is None or got == payload
+        store.journal_path.write_bytes(data.draw(mutations(raw)))
+        for shard in range(4):
+            got = store.read_checkpoint(
+                shard, expected_inputs=f"{shard}e" * 32)
+            assert got is None or got == payloads.get(shard)
+            assert store.attempts(shard) <= attempts.get(shard, 0)
+            store.is_quarantined(shard)
+        store.write_checkpoint(3, appended)
+        store.close()
+        assert BatchJobStore(directory).read_checkpoint(3) == appended
 
 
 @pytest.fixture(scope="module")

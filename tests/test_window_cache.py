@@ -186,6 +186,25 @@ class TestCorruption:
         assert len(store.get_many([pairs[2][0]])) == 1
         store.close()
 
+    def test_flipped_key_byte_is_a_counted_miss(self, tmp_path):
+        """The CRC covers the key: a damaged key is never adopted."""
+        pairs = rows(6)
+        with make_store(tmp_path) as store:
+            store.put_many(pairs)
+            directory = store.directory
+        segment = next(directory.glob("seg-*.bin"))
+        blob = bytearray(segment.read_bytes())
+        record_len = _HEADER.size + _KEY_LEN + ROW_LEN * 8
+        blob[2 * record_len + _HEADER.size + 5] ^= 0xFF
+        segment.write_bytes(blob)
+        store = make_store(tmp_path)
+        assert len(store) == 5
+        assert store.stats["corrupt_records"] == 1
+        got = store.get_many([raw for raw, _ in pairs])
+        assert pairs[2][0] not in got
+        assert (store.stats["hits"], store.stats["misses"]) == (5, 1)
+        store.close()
+
     def test_torn_tail_is_truncated_not_fatal(self, tmp_path):
         pairs = rows(3)
         with make_store(tmp_path) as store:
