@@ -480,8 +480,8 @@ def test_interactive_latency(gcc_context, tmp_path):
     The interactive workload is one variable per request — the
     pathological shape for a batching server.  ``type_variable`` routes
     it through the micro-batch scheduler, so each call pays at most the
-    coalescing delay (``--max-delay-ms``) plus one small engine
-    batch.  Acceptance: p50 within that budget plus a generous multiple
+    coalescing delay (``scheduler.COALESCE_DELAY_S``) plus one small
+    engine batch.  Acceptance: p50 within that budget plus a generous multiple
     of the offline per-variable engine cost (tiny batches amortize
     nothing), i.e. the session path adds bounded overhead and never
     falls onto a full-binary rescore.
@@ -489,6 +489,7 @@ def test_interactive_latency(gcc_context, tmp_path):
     from repro.codegen.compilers import GccCompiler
     from repro.codegen.strip import strip
     from repro.serve.client import ServeClient
+    from repro.serve.scheduler import COALESCE_DELAY_S
     from repro.serve.server import ServeDaemon
 
     cati = gcc_context.cati
@@ -573,8 +574,7 @@ def test_interactive_latency(gcc_context, tmp_path):
     # delay; past that, a single-variable batch should cost a bounded
     # multiple of the offline engine call (HTTP + JSON + tiny-batch
     # overhead), with an absolute floor for fast machines/noise.
-    budget_s = (daemon.scheduler.max_delay_ms / 1000.0
-                + max(25 * offline_single_s, 0.15))
+    budget_s = COALESCE_DELAY_S + max(25 * offline_single_s, 0.15)
     assert p50_s <= budget_s, (
         f"interactive p50 {p50_s:.3f}s exceeds budget {budget_s:.3f}s")
 

@@ -10,8 +10,9 @@
 #   --docs     run the docs-drift gate only (scripts/check_docs.py):
 #              EXPERIMENTS.md matches its generator section-for-section,
 #              every public CatiConfig field is documented in
-#              docs/OPERATIONS.md, docs/DEPLOYMENT.md exists with
-#              the serving flags covered and cross-linked, every
+#              docs/OPERATIONS.md, its serving-flags table matches
+#              the `repro serve` parser, docs/DEPLOYMENT.md exists
+#              with --workers covered and cross-linked, every
 #              span name recorded in core/engine.py or vuc/ is named
 #              in docs/OPERATIONS.md, and the job kinds it lists for
 #              /v1/infer and /v1/session/open match serve.protocol.

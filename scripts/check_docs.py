@@ -10,10 +10,13 @@ Checks:
 2. Every public field of ``CatiConfig`` is named in
    docs/OPERATIONS.md — catches an undocumented knob — and so is every
    name in ``config.RETIRED_FIELDS``, under "Retired config fields".
-3. docs/DEPLOYMENT.md exists, covers the serving flags (``--workers``,
-   ``--max-batch``, ``--max-delay-ms``) and is cross-linked from
-   README.md, docs/OPERATIONS.md and docs/ARCHITECTURE.md — catches the
-   deployment guide drifting out of the doc graph.
+3. docs/DEPLOYMENT.md exists, covers ``--workers`` and is cross-linked
+   from README.md, docs/OPERATIONS.md and docs/ARCHITECTURE.md —
+   catches the deployment guide drifting out of the doc graph.  The
+   "Serving flags" table of docs/OPERATIONS.md has one row per option
+   of the ``serve`` subcommand of ``repro.cli.build_parser()``, and no
+   other — catches a flag added undocumented or deleted but still
+   listed.
 4. The posterior struct-recovery stage stays documented:
    docs/ARCHITECTURE.md has a ``repro.posterior`` section, and the
    ``--structs`` surfaces are named in docs/OPERATIONS.md.
@@ -40,6 +43,7 @@ OK otherwise.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import re
@@ -96,7 +100,7 @@ def check_operations_md(problems: list[str]) -> None:
             problems.append(f"docs/OPERATIONS.md 'Retired config fields' does not name {name}")
 
 
-DEPLOYMENT_KNOBS = ("--workers", "--max-batch", "--max-delay-ms")
+DEPLOYMENT_KNOBS = ("--workers",)
 DEPLOYMENT_SECTIONS = ("process model", "capacity planning", "hot-reload",
                        "failure modes", "/healthz")
 DEPLOYMENT_LINKERS = ("README.md", "docs/OPERATIONS.md", "docs/ARCHITECTURE.md")
@@ -118,6 +122,37 @@ def check_deployment_md(problems: list[str]) -> None:
     for rel in DEPLOYMENT_LINKERS:
         if "DEPLOYMENT.md" not in (REPO_ROOT / rel).read_text():
             problems.append(f"{rel} does not link to docs/DEPLOYMENT.md")
+
+
+def serve_options() -> set[str]:
+    """Every ``--`` option of ``repro serve`` but ``--help``."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.cli import build_parser
+
+    (subcommands,) = [action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    return {option for action in subcommands.choices["serve"]._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"}
+
+
+def check_serving_flags(problems: list[str]) -> None:
+    """OPERATIONS.md's "Serving flags" table lists exactly the serve options."""
+    ops = REPO_ROOT / "docs" / "OPERATIONS.md"
+    if not ops.exists():
+        return
+    parts = ops.read_text().split("### Serving flags", 1)
+    if len(parts) < 2:
+        problems.append("docs/OPERATIONS.md lacks the 'Serving flags' table")
+        return
+    section = re.split(r"^#", parts[1], maxsplit=1, flags=re.MULTILINE)[0]
+    listed = re.findall(r"^\| `(--[^`]+)` \|", section, flags=re.MULTILINE)
+    options = serve_options()
+    for flag in sorted(options - set(listed)):
+        problems.append(f"docs/OPERATIONS.md 'Serving flags' lacks a row for {flag}")
+    for flag in sorted(set(listed) - options):
+        problems.append(f"docs/OPERATIONS.md 'Serving flags' lists {flag}, "
+                        "which `repro serve` does not take")
 
 
 def check_posterior_docs(problems: list[str]) -> None:
@@ -255,6 +290,7 @@ def main() -> int:
     check_experiments_md(problems)
     check_operations_md(problems)
     check_deployment_md(problems)
+    check_serving_flags(problems)
     check_posterior_docs(problems)
     check_session_docs(problems)
     check_span_docs(problems)
@@ -264,7 +300,7 @@ def main() -> int:
             print(f"DOCS DRIFT: {problem}", file=sys.stderr)
         return 1
     print("docs checks OK (EXPERIMENTS.md sections + CatiConfig coverage"
-          " + DEPLOYMENT.md graph + span names + job kinds)")
+          " + DEPLOYMENT.md graph + serving flags + span names + job kinds)")
     return 0
 
 

@@ -18,7 +18,9 @@ which escapes newlines) of an object that names the subject again, and
 holds, its body parses and the body names the header's subject.  Kinds:
 
 * ``attempt <shard>`` — body ``{"shard": N}``; a shard's attempt count
-  is the number of its verified attempt records;
+  is the number of its verified attempt records after its last verified
+  commit, stale or not (an attempt whose commit is torn or damaged
+  still counts);
 * ``commit <shard>`` — body is the shard's checkpoint payload;
 * ``quarantine <shard>`` — body ``{"shard", "reason", "attempts",
   "failures"}``;
@@ -106,6 +108,7 @@ def _verified(line: bytes) -> tuple[str, int | str, dict] | None:
 class _Journal:
     """What one scan of the journal found, kept current by appends."""
 
+    #: shard → verified attempts since its last verified commit
     attempts: Counter = field(default_factory=Counter)
     #: shard → its last verified commit payload
     commits: dict[int, dict] = field(default_factory=dict)
@@ -136,6 +139,9 @@ class _Journal:
         elif kind == "commit":
             self.commits[subject] = body
             self.named.add(subject)
+            # A commit settles the attempts before it, even once a model
+            # re-bind makes it stale: only uncommitted attempts count.
+            self.attempts[subject] = 0
         elif kind == "quarantine":
             self.quarantined[subject] = body
         else:

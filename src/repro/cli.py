@@ -164,14 +164,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         queue_limit=args.queue_limit,
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         session_ttl_s=args.session_ttl_s,
         session_max_bytes=args.session_max_bytes,
         default_deadline_s=args.deadline_s,
-        default_on_error=args.on_error,
-        watch=args.watch,
-        watch_interval_s=args.watch_interval,
         verbose=args.verbose,
     )
     if workers <= 1:
@@ -415,7 +410,6 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.analysis.store import DEFAULT_MAX_BYTES, DEFAULT_TTL_S
-    from repro.serve.scheduler import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -458,23 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "in-process daemon)")
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="pending requests beyond this are answered 503")
-    serve.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
-                       help="max VUC windows coalesced per engine call")
-    serve.add_argument("--max-delay-ms", type=float, default=DEFAULT_MAX_DELAY_MS,
-                       help="max wait to coalesce concurrent requests")
     serve.add_argument("--deadline-s", type=float, default=None,
                        help="default per-request deadline (504 past it)")
-    serve.add_argument("--on-error", choices=("raise", "skip"), default="skip",
-                       help="default per-request degradation policy")
     serve.add_argument("--session-ttl-s", type=float, default=DEFAULT_TTL_S,
                        help="idle seconds before an analysis session expires")
     serve.add_argument("--session-max-bytes", type=int, default=DEFAULT_MAX_BYTES,
                        help="per-worker session-store byte budget "
                             "(LRU eviction past it)")
-    serve.add_argument("--watch", action="store_true",
-                       help="poll the bundle dir and hot-reload on change")
-    serve.add_argument("--watch-interval", type=float, default=2.0,
-                       help="seconds between --watch polls")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request")
     _add_metrics_flags(serve)

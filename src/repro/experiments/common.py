@@ -61,14 +61,13 @@ def _load_cached_model(cache_dir: Path, config: CatiConfig) -> Cati | None:
     """A verified model from the cache, or None when a retrain is due.
 
     The cache is trusted only when it is a :class:`ModelBundle` whose
-    manifest parses (current schema) and whose checksums all hold —
-    corrupt, tampered, stale-schema or manifest-less caches retrain
-    exactly as a missing cache does.
+    manifest parses (current schema) and whose checksums all hold, which
+    ``Cati.load`` checks before it trusts any payload — corrupt,
+    tampered, stale-schema or manifest-less caches retrain exactly as a
+    missing cache does.
     """
     if ModelBundle.is_bundle(cache_dir):
         try:
-            bundle = ModelBundle.open(cache_dir)
-            bundle.verify()
             return Cati.load(str(cache_dir), config, warm_start=True)
         except Exception as error:  # corrupt/stale cache -> retrain
             print(f"[context] cached model failed verification ({error!r}); retraining")

@@ -14,12 +14,11 @@ The moving parts:
   outputs are diffable);
 * :mod:`repro.serve.scheduler` — the dynamic micro-batching scheduler:
   concurrent requests' VUC windows coalesce into single
-  :class:`~repro.core.engine.InferenceEngine` calls (``--max-batch`` /
-  ``--max-delay-ms``), behind a bounded admission queue with
+  :class:`~repro.core.engine.InferenceEngine` calls (a 5 ms wait, up
+  to 4096 windows), behind a bounded admission queue with
   per-request deadlines;
 * :mod:`repro.serve.host` — the resident model: thread-safe engine
-  swap, ``POST /v1/reload`` verification off the serving threads, and
-  the ``--watch`` mtime poller;
+  swap and ``POST /v1/reload`` verification off the serving threads;
 * :mod:`repro.serve.server` — the HTTP daemon: ``POST /v1/infer``,
   ``POST /v1/reload``, ``GET /healthz``, ``GET /metricsz``, 503 +
   ``Retry-After`` on overload, SIGTERM drain;

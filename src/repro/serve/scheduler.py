@@ -5,9 +5,9 @@ windows, but one HTTP request usually carries one binary's worth. The
 scheduler closes that gap: handler threads :meth:`submit` one
 :class:`~repro.vuc.stream.VucStream` each (with its id tensor, when
 they already encoded it) and block; a single worker thread collects
-everything that arrives within ``max_delay_ms`` (up to ``max_batch``
-windows; ``repro serve --max-delay-ms`` / ``--max-batch``) and scores
-them in **one** :meth:`~repro.core.engine.InferenceEngine.score` call,
+everything that arrives within :data:`COALESCE_DELAY_S` of the first
+request (up to :data:`MAX_BATCH_WINDOWS` windows) and scores them in
+**one** :meth:`~repro.core.engine.InferenceEngine.score` call,
 which re-encodes any request whose ids predate a reload.  Each request
 gets its own :class:`~repro.core.engine.Analysis` and votes its own
 rows, so grouping and summation order per request are exactly the
@@ -52,11 +52,13 @@ from repro.core.observability import SIZE_BUCKETS
 #: Fallback Retry-After hint before any batch latency was observed.
 _DEFAULT_RETRY_AFTER_S = 1.0
 
-#: Window budget per coalesced engine call (``repro serve --max-batch``).
-DEFAULT_MAX_BATCH = 4096
+#: Window budget per coalesced engine call.  Requests are never split,
+#: so one request may exceed it alone; it stops *more* requests from
+#: joining an already-large batch.
+MAX_BATCH_WINDOWS = 4096
 
-#: Wait for more requests after the first (``repro serve --max-delay-ms``).
-DEFAULT_MAX_DELAY_MS = 5.0
+#: How long the worker waits for more requests after the first one.
+COALESCE_DELAY_S = 0.005
 
 
 class PendingRequest:
@@ -69,7 +71,7 @@ class PendingRequest:
     """
 
     __slots__ = ("stream", "ids", "generation", "deadline", "event", "analysis",
-                 "error", "submitted_at")
+                 "error")
 
     def __init__(self, stream, deadline: float | None, ids=None,
                  generation: int | None = None) -> None:
@@ -84,7 +86,6 @@ class PendingRequest:
         self.event = threading.Event()
         self.analysis = None
         self.error: BaseException | None = None
-        self.submitted_at = time.monotonic()
 
     def finish(self, analysis) -> None:
         self.analysis = analysis
@@ -98,19 +99,11 @@ class PendingRequest:
 class MicroBatchScheduler:
     """The bounded-queue micro-batching worker over a :class:`ModelHost`."""
 
-    def __init__(self, host, queue_limit: int = 64, *,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 max_delay_ms: float = DEFAULT_MAX_DELAY_MS) -> None:
+    def __init__(self, host, queue_limit: int = 64) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         self.host = host
         self.queue_limit = queue_limit
-        self.max_batch = max_batch
-        self.max_delay_ms = max_delay_ms
         self._queue: deque[PendingRequest] = deque()
         self._lock = threading.Lock()
         self._have_work = threading.Condition(self._lock)
@@ -226,10 +219,10 @@ class MicroBatchScheduler:
             total = len(batch[0].stream)
             # Coalesce: keep gathering until the window budget is spent,
             # the delay elapses, or (draining) the queue is empty.
-            until = time.monotonic() + self.max_delay_ms / 1000.0
-            while total < self.max_batch:
+            until = time.monotonic() + COALESCE_DELAY_S
+            while total < MAX_BATCH_WINDOWS:
                 if self._queue:
-                    if total + len(self._queue[0].stream) > self.max_batch:
+                    if total + len(self._queue[0].stream) > MAX_BATCH_WINDOWS:
                         break
                     request = self._queue.popleft()
                     batch.append(request)

@@ -66,7 +66,7 @@ from repro.core.errors import (
 )
 from repro.serve import protocol
 from repro.serve.host import ModelHost
-from repro.serve.scheduler import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_MS, MicroBatchScheduler
+from repro.serve.scheduler import MicroBatchScheduler
 from repro.vuc.stream import extract_vuc_stream
 
 #: Request bodies past this size are refused with 413 before parsing.
@@ -205,7 +205,7 @@ class _Handler(BaseHTTPRequestHandler):
         daemon = self.daemon
         started = time.monotonic()
         request = self._read_body()
-        on_error = str(request.get("on_error", daemon.default_on_error))
+        on_error = str(request.get("on_error", "skip"))
         check_on_error(on_error)
         deadline_s = daemon.default_deadline_s
         if request.get("deadline_ms") is not None:
@@ -240,7 +240,7 @@ class _Handler(BaseHTTPRequestHandler):
         daemon = self.daemon
         started = time.monotonic()
         request = self._read_body()
-        on_error = str(request.get("on_error", daemon.default_on_error))
+        on_error = str(request.get("on_error", "skip"))
         check_on_error(on_error)
         failures = FailureReport()
         session = daemon.open_session(request, on_error=on_error,
@@ -302,33 +302,25 @@ class ServeDaemon:
         port: int = 0,
         *,
         queue_limit: int = 64,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_delay_ms: float = DEFAULT_MAX_DELAY_MS,
         session_ttl_s: float = DEFAULT_TTL_S,
         session_max_bytes: int = DEFAULT_MAX_BYTES,
         default_deadline_s: float | None = None,
-        default_on_error: str = "skip",
-        watch: bool = False,
-        watch_interval_s: float = 2.0,
         verbose: bool = False,
         log_label: str = "serve",
         initial_generation: int = 1,
         slot_index: int = 0,
         slot_count: int = 1,
     ) -> None:
-        check_on_error(default_on_error)
         self.started_at = time.time()
         self.verbose = verbose
         self.default_deadline_s = default_deadline_s
-        self.default_on_error = default_on_error
         #: Log-line prefix; the pre-fork workers set "worker N" so their
         #: inherited stdout interleaves readably with the router's.
         self.log_label = log_label
         self.model_host = ModelHost(model_dir,
                                     initial_generation=initial_generation)
-        self.scheduler = MicroBatchScheduler(
-            self.model_host, queue_limit=queue_limit,
-            max_batch=max_batch, max_delay_ms=max_delay_ms)
+        self.scheduler = MicroBatchScheduler(self.model_host,
+                                             queue_limit=queue_limit)
         #: Session stickiness under the pre-fork router: this daemon
         #: mints only session ids that hash back to its own slot
         #: (single daemon = slot 0 of 1, where every id matches).
@@ -339,8 +331,6 @@ class ServeDaemon:
         self.httpd = _Server((host, port), _Handler)
         self.httpd.daemon_ref = self
         self.draining = False
-        self._watch = watch
-        self._watch_interval_s = watch_interval_s
 
     @property
     def port(self) -> int:
@@ -477,8 +467,6 @@ class ServeDaemon:
     def run(self) -> int:
         """Serve until shutdown; drain handler threads and the queue."""
         self.scheduler.start()
-        if self._watch:
-            self.model_host.start_watching(self._watch_interval_s)
         write_line(f"[{self.log_label}] model generation "
                    f"{self.model_host.generation} "
                    f"from {self.model_host.model_dir}")
@@ -501,6 +489,5 @@ class ServeDaemon:
             self.httpd.server_close()
             # ...then the scheduler finishes whatever they had queued.
             self.scheduler.close(timeout=60.0)
-            self.model_host.stop_watching()
         print(f"[{self.log_label}] drained, exiting", flush=True)
         return 0

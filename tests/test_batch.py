@@ -348,8 +348,10 @@ class TestJobLifecycle:
         assert status["complete"] and status["shards"]["committed"] == 2
         assert invalid_count() == before
         store = BatchJobStore(job_dir)
-        assert store.attempts(1) == 2
+        # the torn commit's attempt was charged, so the resume's commit is
+        # attempt 2; that commit settles both
         assert store.read_checkpoint(1)["attempts"] == 2
+        assert store.attempts(1) == 0
 
     def test_undecodable_checkpoint_is_invalid_then_recomputed(
             self, tmp_path, mini_bundle_dir):
@@ -395,13 +397,20 @@ class TestJobLifecycle:
     def test_real_model_drift_invalidates_checkpoints(
             self, tmp_path, mini_bundle_dir, drifted_bundle_dir):
         job_dir = tmp_path / "job"
-        run_job(job_dir, small_spec(2), model_dir=mini_bundle_dir)
+        spec = small_spec(2, max_retries=0)
+        run_job(job_dir, spec, model_dir=mini_bundle_dir)
         with pytest.raises(ConfigMismatchError, match="force"):
             resume_job(job_dir, model_dir=drifted_bundle_dir)
         forced = resume_job(job_dir, model_dir=drifted_bundle_dir, force=True)
-        # the old checkpoints bind the old model key: all recomputed
+        # the old checkpoints bind the old model key: all recomputed, and
+        # the attempt that committed one does not count against the
+        # one-attempt budget, nor as an attempt that died
         assert forced["shards_run"] == 1
         assert forced["shards_reused"] == 0
+        assert forced["shards"]["quarantined"] == []
+        assert all(forced["predictions"].get(item.name) for item in spec.items)
+        assert not [record for record in forced["failures"]["records"]
+                    if "died without committing" in record["message"]]
         body = json.loads(BatchJobStore(job_dir).job_path.read_text())
         assert body["model_dir"] == drifted_bundle_dir
 
