@@ -6,7 +6,9 @@ match the offline engine; a rolling hot reload under live traffic drops
 zero requests and bumps the generation only after every worker rolled;
 a corrupt bundle answers 409 while the old generation keeps serving; a
 SIGKILLed worker is respawned by the monitor and ``/healthz``
-enumerates the restart; SIGTERM drains the whole tree to rc 0.
+enumerates the restart; SIGTERM drains the whole tree to rc 0, with a
+request still uploading answered (``test_serve.py``'s
+``test_router_sigterm_finishes_in_flight_request``).
 
 Every worker loads the bundle through the checksum-verified
 ``Cati.load`` path, and serving writes nothing into the bundle
