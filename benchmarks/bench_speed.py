@@ -20,10 +20,6 @@ instrumentation (metrics enabled vs disabled on the engine hot path),
 which the acceptance criteria cap at 5%.  The speed trajectory across
 versions lives in the end-to-end benchmark (``e2ebench/``), not here.
 
-Run directly with ``--smoke`` (see ``scripts/check.sh --smoke``) to
-execute only the correctness gates on a freshly trained mini model —
-no cached full models, no wall-clock assertions.
-
 ``test_bundle_io`` adds the artifact-I/O trajectory: ModelBundle
 save / checksum verify / load (cold and warm-started) on the full
 trained model, merged into the same ``BENCH_speed.json`` under
@@ -43,9 +39,14 @@ under ``"serve.scaling"``; on ≥4-core machines 2 workers must reach
 
 ``test_interactive_latency`` opens an analysis session and measures
 sequential single-variable ``type_variable`` calls — the interactive
-REPL workload — recording p50/p99 under ``"serve.interactive"`` and
-asserting the small-batch path stays within the scheduler's coalescing
-budget plus bounded per-call overhead.
+REPL workload — recording p50/p99 under ``"serve.interactive"`` (the
+only writer of that block) and asserting the small-batch path stays
+within the scheduler's coalescing budget plus bounded per-call overhead.
+
+Run the file under pytest (``pytest benchmarks/bench_speed.py -s``); it
+needs the full trained model.  The engine's ≤1e-6 agreement with the
+reference and its dedup-cache invariants on the mini model are tier-1
+checks (``tests/test_engine.py``).
 """
 
 import json
@@ -447,7 +448,7 @@ def test_serve_throughput(gcc_context, tmp_path):
 
     report = json.loads(_ARTIFACT.read_text()) if _ARTIFACT.exists() else {}
     # update, don't assign: "serve" also carries the "interactive"
-    # block written by test_interactive_latency / scripts/smoke_repl.py.
+    # block written by test_interactive_latency.
     report.setdefault("serve", {}).update(report_serve)
     _ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -789,64 +790,3 @@ def test_bundle_io(gcc_context, tmp_path):
     assert save_s < 30.0
     assert load_s < 10.0
     assert verify_s < 10.0
-
-
-def _smoke() -> int:
-    """CI-sized correctness smoke over a freshly trained mini model.
-
-    Runs the same equivalence gates as ``test_engine_speedup`` — engine
-    vs naive reference and the duplicated-stream dedup invariants — but
-    on the tiny corpus and with NO wall-clock assertions, so it is safe
-    on arbitrarily noisy CI runners.  Wired into ``scripts/check.sh
-    --smoke``."""
-    from repro.core.config import CatiConfig
-    from repro.core.pipeline import Cati
-    from repro.datasets.corpus import build_small_corpus
-    from repro.embedding.word2vec import Word2VecConfig
-
-    config = CatiConfig(
-        epochs=5,
-        fc_width=64,
-        word2vec=Word2VecConfig(dim=32, window=5, epochs=1, subsample_pairs=0.4),
-    )
-    corpus = build_small_corpus()
-    cati = Cati(config).train(corpus.train)
-    samples = list(corpus.test)
-    windows = [sample.tokens for sample in samples][:400] or \
-        [sample.tokens for sample in corpus.train][:400]
-    variable_ids = [f"var{i // 4}" for i in range(len(windows))]
-
-    naive_probs = cati.predict_vuc_proba(windows)
-    engine = cati.engine
-    engine_probs = engine.leaf_proba(windows)
-    drift = float(np.abs(engine_probs - naive_probs).max())
-    assert drift <= 1e-6, f"engine drifted {drift:g} from the reference"
-
-    engine.clear_cache()
-    engine.stats.reset()
-    dup = windows + windows
-    engine.leaf_proba(dup)
-    engine.leaf_proba(dup)
-    stats = engine.stats
-    assert stats.unique_windows <= 2 * len(windows)
-    assert stats.cache_hits >= stats.unique_windows // 2
-
-    predictions = _classify_vote(engine, windows, variable_ids)
-    assert len(predictions) == len(set(variable_ids))
-
-    print(f"smoke OK: {len(windows)} windows; engine drift {drift:.2e}")
-    return 0
-
-
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="train a mini model and run the correctness gates only "
-             "(no trained-model cache, no wall-clock assertions)")
-    cli_args = parser.parse_args()
-    if cli_args.smoke:
-        raise SystemExit(_smoke())
-    parser.error("run under pytest for the full benchmark, or pass --smoke")

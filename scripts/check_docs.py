@@ -22,7 +22,7 @@ Checks:
    ``--structs`` surfaces are named in docs/OPERATIONS.md.
 5. Interactive sessions stay documented: docs/OPERATIONS.md has an
    "Interactive sessions" section naming every session tool and the
-   ``repro repl`` / ``--repl`` surfaces, docs/ARCHITECTURE.md
+   ``repro repl`` client, docs/ARCHITECTURE.md
    describes ``repro.analysis``, and README.md shows the repl
    quickstart.
 6. Every span name the engine (``src/repro/core/engine.py``) or the
@@ -189,9 +189,6 @@ def check_session_docs(problems: list[str]) -> None:
         if "repro repl" not in text:
             problems.append(
                 "docs/OPERATIONS.md does not mention the `repro repl` client")
-        if "--repl" not in text:
-            problems.append(
-                "docs/OPERATIONS.md does not mention scripts/check.sh --repl")
     arch = REPO_ROOT / "docs" / "ARCHITECTURE.md"
     if arch.exists() and "repro.analysis" not in arch.read_text():
         problems.append(

@@ -18,7 +18,7 @@ in which case ``job.json`` is rewritten to the new identity and every
 existing checkpoint automatically goes stale (their ``inputs_sha256``
 binds the old model key) and is recomputed.
 
-Fault injection (tests/smokes only): the ``REPRO_BATCH_FAULT`` env var
+Fault injection (tests only): the ``REPRO_BATCH_FAULT`` env var
 installs one scripted fault::
 
     REPRO_BATCH_FAULT="kill:shard=1:point=pre-commit"
@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import random
 import signal
 import time
 from collections.abc import Callable
@@ -67,6 +66,9 @@ FAULT_ENV = "REPRO_BATCH_FAULT"
 FAULT_POINTS = ("pre-commit", "torn-commit", "post-commit")
 FAULT_MODES = ("kill", "raise", "torn")
 RESULTS_FORMAT = "cati-batch-results/1"
+#: Base of the shard retry backoff: in-process retries of a shard sleep
+#: ``retry_delays(SHARD_RETRY_BACKOFF_S, max_retries)`` (0.05 s, 0.1 s, ...).
+SHARD_RETRY_BACKOFF_S = 0.05
 
 
 # -- fault injection ---------------------------------------------------------------
@@ -272,12 +274,7 @@ def _attempt_shard(store: BatchJobStore, spec: JobSpec, cati: Cati,
     Returns the committed payload, or None when the shard was quarantined.
     """
     budget = spec.max_retries + 1
-    # Seed per (job, shard): str seeding is stable across processes, so
-    # the backoff schedule a resumed job sleeps is the schedule the
-    # original job would have slept — fault-injection tests assert it.
-    rng = random.Random(f"{spec.seed}:{index}")
-    delays = list(retry_delays(spec.backoff, spec.max_retries,
-                               jitter=spec.jitter, rng=rng))
+    delays = list(retry_delays(SHARD_RETRY_BACKOFF_S, spec.max_retries))
     interrupted = store.attempts(index)
     history = FailureReport()
     if interrupted > 0:

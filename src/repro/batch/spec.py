@@ -11,7 +11,7 @@ with two item kinds:
 
 ``{"kind": "demo", "seed": 7, "compiler": "gcc", "opt_level": 1}``
     Compile one deterministic demo program (the serve daemon's demo
-    path): requires a compiler on PATH, used by tests/smokes/benches.
+    path): requires a compiler on PATH, used by tests and benchmarks.
 
 ``{"kind": "file", "path": "job-001.json"}``
     A pre-disassembled binary in the serve wire format (``binary`` +
@@ -144,9 +144,6 @@ class JobSpec:
     shard_size: int = 4
     on_error: str = "skip"
     max_retries: int = 1      # re-tries per shard before quarantine
-    backoff: float = 0.05     # shard retry backoff base (seconds)
-    jitter: float = 0.5       # shard retry jitter fraction
-    seed: int = 0             # seeds the retry jitter RNG (determinism)
     structs: bool = False     # run the posterior struct-recovery stage
 
     def __post_init__(self) -> None:
@@ -167,14 +164,14 @@ class JobSpec:
             "shard_size": self.shard_size,
             "on_error": self.on_error,
             "max_retries": self.max_retries,
-            "backoff": self.backoff,
-            "jitter": self.jitter,
-            "seed": self.seed,
             "structs": self.structs,
         }
 
     @classmethod
     def from_dict(cls, data: object) -> "JobSpec":
+        """Build a spec from ``job.json``; unknown keys are ignored, so a
+        job written with the retired ``backoff``/``jitter``/``seed``
+        retry settings still resumes."""
         if not isinstance(data, dict):
             raise BatchError(f"job spec must be an object, got {data!r}",
                              stage="batch")
@@ -185,9 +182,6 @@ class JobSpec:
                 shard_size=int(data.get("shard_size", 4)),
                 on_error=str(data.get("on_error", "skip")),
                 max_retries=int(data.get("max_retries", 1)),
-                backoff=float(data.get("backoff", 0.05)),
-                jitter=float(data.get("jitter", 0.5)),
-                seed=int(data.get("seed", 0)),
                 structs=bool(data.get("structs", False)),
             )
         except (TypeError, ValueError) as error:
@@ -231,7 +225,7 @@ def load_manifest(path: str | Path) -> tuple[ManifestItem, ...]:
 
 def demo_corpus(count: int, *, compiler: str = "gcc", opt_level: int = 1,
                 base_seed: int = 100) -> tuple[ManifestItem, ...]:
-    """``count`` deterministic demo items (tests, smokes, benchmarks)."""
+    """``count`` deterministic demo items (tests, benchmarks)."""
     if count < 1:
         raise BatchError("demo corpus needs count >= 1", stage="batch")
     return tuple(

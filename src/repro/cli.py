@@ -386,7 +386,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                     base_seed=args.base_seed)
             spec = JobSpec(items=items, shard_size=args.shard_size,
                            on_error=args.on_error,
-                           max_retries=args.max_retries, seed=args.seed,
+                           max_retries=args.max_retries,
                            structs=args.structs)
             cache_dir = None if args.no_cache else args.cache_dir
             results = run_job(args.job_dir, spec, model_dir=args.model_dir,
@@ -528,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-shard failure policy")
     batch_run.add_argument("--max-retries", type=int, default=1,
                            help="re-tries per shard before quarantine")
-    batch_run.add_argument("--seed", type=int, default=0,
-                           help="seeds the retry-backoff jitter (determinism)")
     batch_run.add_argument("--structs", action="store_true",
                            help="run the posterior struct-layout recovery "
                                 "stage on every item (layouts land in the "

@@ -33,7 +33,6 @@ span ``toolchain.<tool>``.
 from __future__ import annotations
 
 import os.path
-import random as _random
 import shutil
 import subprocess
 import time
@@ -62,29 +61,15 @@ class ToolResult:
     attempts: int
 
 
-def retry_delays(backoff: float, retries: int, *, jitter: float = 0.0,
-                 rng: _random.Random | None = None) -> Iterator[float]:
-    """The exponential backoff schedule, with optional seedable jitter.
+def retry_delays(backoff: float, retries: int) -> Iterator[float]:
+    """The exponential backoff schedule: ``retries`` delays of
+    ``backoff * 2**attempt``.
 
-    Yields ``retries`` delays of ``backoff * 2**attempt``, each scaled
-    by a uniform factor in ``[1, 1 + jitter]``.  The jitter source is
-    *injectable*: pass a seeded ``random.Random`` to make the schedule
-    deterministic — the batch runner's fault-injection tests rely on
-    reproducing the exact sleep sequence.  ``rng=None`` draws from the
-    module-global PRNG, and ``jitter=0`` (the default) reproduces the
-    historical un-jittered schedule exactly.
-
-    Shared by :func:`run_tool` and ``repro.batch``'s shard retry so
-    every retry loop in the system backs off the same way.
+    Shared by :func:`run_tool`, the serve client and ``repro.batch``'s
+    shard retry so every retry loop in the system backs off the same way.
     """
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
     for attempt in range(retries):
-        delay = backoff * (2 ** attempt)
-        if jitter > 0:
-            source = rng if rng is not None else _random
-            delay *= 1.0 + jitter * source.random()
-        yield delay
+        yield backoff * (2 ** attempt)
 
 
 def which_missing(tools: Sequence[str]) -> tuple[str, ...]:
@@ -98,8 +83,6 @@ def run_tool(
     timeout: float | None = DEFAULT_TOOL_TIMEOUT,
     retries: int = DEFAULT_TOOL_RETRIES,
     backoff: float = 0.1,
-    jitter: float = 0.0,
-    rng: _random.Random | None = None,
     check: bool = True,
     binary: str | None = None,
     stage: str = "toolchain",
@@ -108,13 +91,11 @@ def run_tool(
 ) -> ToolResult:
     """Run one external tool with timeout, bounded retry, and typed errors.
 
-    ``jitter``/``rng`` shape the backoff schedule via
-    :func:`retry_delays`; a seeded ``rng`` makes the retry timing
-    deterministic for fault-injection tests.
+    Transient failures back off on the :func:`retry_delays` schedule.
     """
     argv = [str(arg) for arg in argv]
     tool = argv[0]
-    delays = list(retry_delays(backoff, retries, jitter=jitter, rng=rng))
+    delays = list(retry_delays(backoff, retries))
     run = runner if runner is not None else subprocess.run
     registry = observability.get_registry()
     tool_label = os.path.basename(tool)

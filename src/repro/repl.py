@@ -13,7 +13,8 @@ Two modes share every code path:
   continues.
 - **scripted** — ``--exec "open demo 7; functions; annotate 0"`` runs
   a ``;``-separated command list and exits non-zero on the first
-  failure.  This is what ``scripts/smoke_repl.py`` drives.
+  failure.  ``tests/test_analysis.py`` drives it through the tools and
+  through a TTL expiry.
 
 Sessions are server-side state, so they can vanish between commands
 (TTL expiry, LRU eviction, a worker crash behind the router).  The

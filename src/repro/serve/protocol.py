@@ -17,7 +17,7 @@ key:
   one string of exactly ``2w + 1`` instructions joined by newlines,
   tokens by tabs;
 * ``{"demo": {"seed": N, "compiler": "gcc", "opt_level": 1}}`` — the
-  server compiles, strips and types a seeded demo binary (smoke tests).
+  server compiles, strips and types a seeded demo binary (tests, demos).
 
 Every job becomes one :class:`~repro.vuc.stream.VucStream` (packed
 windows lie end to end, :func:`stream_from_packed`), so the serving
@@ -342,7 +342,7 @@ def session_open_response(session, *, ttl_s: float,
     """The ``/v1/session/open`` response body.
 
     ``variables`` carries every extracted variable id up front so thin
-    clients (the repl's tab completion, smoke scripts) need no extra
+    clients (the repl's tab completion, scripts) need no extra
     round-trip before their first ``type_variable``.
     """
     report = failures if failures is not None else FailureReport()

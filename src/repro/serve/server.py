@@ -471,7 +471,7 @@ class ServeDaemon:
                    f"{self.model_host.generation} "
                    f"from {self.model_host.model_dir}")
         if self.log_label == "serve":
-            # The bare banner is the operator/smoke contract for "this
+            # The bare banner is the operator/test contract for "this
             # is the port clients talk to" — only the front process may
             # print it.  Pre-fork workers (labelled "worker N") announce
             # their loopback port with the label instead; the router

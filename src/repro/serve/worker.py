@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -43,8 +44,9 @@ def worker_main(worker_id: int, model_dir: str, options: dict,
     Builds a :class:`ServeDaemon` on ``127.0.0.1:0`` from the router's
     ``options`` (``ServeDaemon`` keyword arguments), reports the bound
     port (or the load failure) over ``conn``, then serves until
-    SIGTERM.  Runs in the child's main thread, so the daemon's
-    signal-based drain works unchanged.
+    SIGTERM or until the router process is gone, whichever comes
+    first; either starts the same drain.  Runs in the child's main
+    thread, so the daemon's signal-based drain works unchanged.
 
     ``metrics`` is the router's global metrics switch: a spawned child
     starts with a fresh registry that records, so ``--no-metrics`` only
@@ -68,6 +70,16 @@ def worker_main(worker_id: int, model_dir: str, options: dict,
             conn.close()
         raise SystemExit(1) from error
     daemon.install_signal_handlers()
+
+    def drain_when_orphaned() -> None:
+        # A SIGKILLed router runs no cleanup and sends no SIGTERM: without
+        # this the worker would serve on under pid 1, holding its memory
+        # and port.  After a normal drain it only repeats the shutdown.
+        multiprocessing.parent_process().join()
+        daemon.request_shutdown()
+
+    threading.Thread(target=drain_when_orphaned, name="router-watch",
+                     daemon=True).start()
     conn.send(("ready", {"port": daemon.port, "pid": os.getpid()}))
     conn.close()
     raise SystemExit(daemon.run())

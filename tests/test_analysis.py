@@ -11,8 +11,11 @@ retriable 410s while fresh opens keep working.
 
 The store bounds are unit-tested with stub sessions and an injected
 clock (no daemon, no sleeps); the tool surface runs against one
-module-scoped daemon over the shared mini model; the stickiness tests
-pay for one module-scoped two-worker router.
+module-scoped daemon over the shared mini model, also through the real
+``repro repl --exec`` CLI; the stickiness tests pay for one
+module-scoped two-worker router.  ``type_variable`` and
+``struct_layouts`` answers are compared with offline by the oracle's
+``session`` and ``router-2w-session`` cases (``test_oracle.py``).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import pytest
 from repro.analysis import SessionStore, mint_session_id, session_slot
 from repro.analysis.render import (annotation_variable_ids, render_epsilons,
                                    render_listing)
+from repro.cli import main as cli_main
 from repro.codegen.compilers import GccCompiler
 from repro.codegen.strip import strip
 from repro.core.errors import SessionGoneError
@@ -220,12 +224,6 @@ class TestSessionTools:
         by_name = handle.disassemble(function=stripped.functions[1].name)
         assert by_name["lines"] == result["lines"]
 
-    def test_type_variable_matches_offline(self, handle, offline):
-        by_id = {p.variable_id: p for p in offline}
-        for variable_id in handle.variables[:5]:
-            served = handle.type_variable(variable_id)["prediction"]
-            assert served == protocol.prediction_to_dict(by_id[variable_id])
-
     def test_explain_matches_offline_occlusion(self, handle, target,
                                                mini_cati):
         stripped, extents = target
@@ -251,13 +249,6 @@ class TestSessionTools:
             served = handle.annotate_disassembly(function=index)
             assert served["lines"] == render_listing(
                 stripped.functions[index], annotation)
-
-    def test_struct_layouts_match_offline(self, handle, offline):
-        served = handle.struct_layouts()
-        expected = [protocol.layout_to_dict(layout)
-                    for layout in offline.layouts]
-        assert served["layouts"] == expected
-        assert served["n_layouts"] == len(expected)
 
     def test_bad_tool_and_args_are_400(self, handle, daemon):
         _daemon, client = daemon
@@ -288,7 +279,7 @@ class TestSessionTools:
             handle.list_functions()
         assert excinfo.value.status == 410
 
-    def test_session_survives_hot_reload(self, daemon, handle, offline):
+    def test_session_survives_hot_reload(self, daemon, handle):
         _daemon, client = daemon
         before = handle.annotate_disassembly(function=0)["lines"]
         client.reload()
@@ -382,6 +373,19 @@ class TestSessionTools:
             typed.append(lines[:-1])
         assert typed[0] and typed[0] == typed[1]
 
+    def test_repl_exec_walks_every_tool(self, daemon, capsys):
+        """The real ``repro repl --exec`` CLI, one command per tool."""
+        served, _client = daemon
+        rc = cli_main(["repl", "--port", str(served.port), "--exec",
+                       "open demo 77 1; functions; vars; dis 0; type %0; "
+                       "explain %0 0; annotate 0; layouts; close"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0, lines
+        opened = [line for line in lines if " open: serve-demo (" in line]
+        assert len(opened) == 1 and opened[0].startswith("session ")
+        session_id = opened[0].split()[1]
+        assert lines[-1] == f"session {session_id} closed"
+
     def test_metrics_count_session_traffic(self, daemon, handle):
         _daemon, client = daemon
         handle.list_functions()
@@ -392,7 +396,7 @@ class TestSessionTools:
 
 
 class TestSessionBoundsServed:
-    def test_ttl_expiry_end_to_end(self, analysis_bundle_dir, target):
+    def test_ttl_expiry_end_to_end(self, analysis_bundle_dir, target, capsys):
         daemon, thread, client = start_daemon(analysis_bundle_dir,
                                               session_ttl_s=0.2)
         try:
@@ -405,8 +409,17 @@ class TestSessionBoundsServed:
             assert excinfo.value.status == 410
             health = client.health()["sessions"]
             assert health["evicted_ttl"] >= 1
+            # Through the real repl: it meets the 410 mid-script,
+            # re-opens with the last `open` and finishes the command.
+            rc = cli_main(["repl", "--port", str(daemon.port), "--exec",
+                           "open demo 77 1; sleep 0.3; functions; close"])
         finally:
             stop_daemon(daemon, thread)
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0, lines
+        gone = next(i for i, line in enumerate(lines)
+                    if line.startswith("session gone"))
+        assert any(line.startswith("  [0] ") for line in lines[gone + 1:])
 
     def test_lru_eviction_under_concurrent_opens(self, analysis_bundle_dir,
                                                  target):
@@ -476,22 +489,21 @@ def session_router(analysis_bundle_dir):
 
 
 class TestStickySessions:
-    def test_sessions_route_to_their_worker(self, session_router, target,
-                                            offline):
+    def test_sessions_route_to_their_worker(self, session_router, target):
         _daemon, client = session_router
         stripped, extents = target
         handles = [client.session(binary=stripped, extents=extents)
                    for _ in range(3)]
-        types = {p.variable_id: str(p.predicted) for p in offline}
         # Interleave calls across sessions: every one must land on the
-        # worker holding its state and answer exactly like offline.
+        # worker holding its state (a stray call would answer 410).
+        # The oracle's router-2w-session case checks the answers.
         for _round in range(2):
             for handle in handles:
                 listing = handle.list_functions()
                 assert listing["n_functions"] == len(stripped.functions)
                 variable_id = handle.variables[0]
                 served = handle.type_variable(variable_id)["prediction"]
-                assert served["type"] == types[variable_id]
+                assert served["variable_id"] == variable_id
         health = client.health()
         assert health["sessions"]["sessions"] == 3
         assert health["sessions"]["opened"] >= 3

@@ -9,16 +9,15 @@ The headline assertions mirror ISSUE acceptance:
 * a torn or damaged commit record is detected (checksum) and
   recomputed, never trusted, and a torn tail never swallows the next
   record;
-* a poisoned shard consumes its bounded attempt budget — with the
-  backoff schedule deterministic under a seeded jitter RNG — and lands
-  in quarantine instead of wedging the job.
+* a poisoned shard consumes its bounded attempt budget — sleeping the
+  constant exponential backoff schedule between attempts — and lands in
+  quarantine instead of wedging the job.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import signal
 import subprocess
 import sys
@@ -37,7 +36,7 @@ from repro.batch import (
     run_job,
 )
 from repro.batch.job import JOURNAL_NAME, journal_line
-from repro.batch.runner import FaultPlan
+from repro.batch.runner import SHARD_RETRY_BACKOFF_S, FaultPlan
 from repro.batch.spec import ManifestItem
 from repro.core import observability
 from repro.core.errors import (
@@ -46,7 +45,7 @@ from repro.core.errors import (
     FailureRecord,
     FailureReport,
 )
-from repro.core.toolchain import retry_delays, run_tool
+from repro.core.toolchain import retry_delays
 from tests.test_artifacts import OLD_FIELDS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -91,8 +90,21 @@ class TestJobSpec:
 
     def test_round_trips_through_dict(self):
         spec = JobSpec(items=demo_corpus(3), shard_size=2,
-                       on_error="raise", max_retries=2, seed=7)
+                       on_error="raise", max_retries=2)
         assert JobSpec.from_dict(spec.to_dict()) == spec
+        # A job.json written while the retry backoff, jitter and jitter
+        # seed were spec fields still loads, to the same spec.
+        retired = {"backoff": 0.0, "jitter": 0.5, "seed": 7}
+        assert JobSpec.from_dict({**spec.to_dict(), **retired}) == spec
+
+    def test_batch_run_seed_flag_is_gone(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "run", "--job-dir", str(tmp_path / "job"),
+                  "--seed", "7"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_structs_flag_round_trips(self):
         spec = JobSpec(items=demo_corpus(2), structs=True)
@@ -137,40 +149,12 @@ class TestJobSpec:
             item.load()
 
 
-# -- seedable retry backoff --------------------------------------------------------
+# -- retry backoff -----------------------------------------------------------------
 
 
 class TestRetryDelays:
     def test_unjittered_schedule_is_exponential(self):
         assert list(retry_delays(0.1, 3)) == [0.1, 0.2, 0.4]
-
-    def test_seeded_jitter_is_deterministic(self):
-        a = list(retry_delays(0.1, 4, jitter=0.5, rng=random.Random(42)))
-        b = list(retry_delays(0.1, 4, jitter=0.5, rng=random.Random(42)))
-        assert a == b
-        base = [0.1, 0.2, 0.4, 0.8]
-        for got, lo in zip(a, base):
-            assert lo <= got <= lo * 1.5
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            list(retry_delays(0.1, 1, jitter=-1))
-
-    def test_run_tool_sleeps_the_seeded_schedule(self):
-        calls = {"n": 0}
-
-        def flaky_runner(argv, **kwargs):
-            calls["n"] += 1
-            raise OSError("transient")
-
-        slept: list[float] = []
-        with pytest.raises(Exception):
-            run_tool(["fake-tool"], retries=2, backoff=0.1, jitter=0.5,
-                     rng=random.Random(7), runner=flaky_runner,
-                     sleep=slept.append)
-        assert calls["n"] == 3
-        assert slept == list(retry_delays(0.1, 2, jitter=0.5,
-                                          rng=random.Random(7)))
 
 
 # -- failure report plumbing -------------------------------------------------------
@@ -236,7 +220,6 @@ def commit_span(job_dir: Path, shard: int) -> tuple[int, int]:
 
 def small_spec(n=3, **kwargs):
     kwargs.setdefault("shard_size", 2)
-    kwargs.setdefault("backoff", 0.0)
     return JobSpec(items=demo_corpus(n), **kwargs)
 
 
@@ -419,7 +402,7 @@ class TestJobLifecycle:
         monkeypatch.setenv("REPRO_BATCH_FAULT",
                            "raise:shard=1:point=pre-commit:times=99")
         slept: list[float] = []
-        spec = small_spec(3, max_retries=2, backoff=0.05, jitter=0.5, seed=11)
+        spec = small_spec(3, max_retries=2)
         results = run_job(tmp_path / "job", spec, model_dir=mini_bundle_dir,
                           sleep=slept.append)
         assert results["shards"]["quarantined"] == [1]
@@ -430,9 +413,8 @@ class TestJobLifecycle:
         injected = [r for r in results["failures"]["records"]
                     if "injected fault" in r["message"]]
         assert len(injected) == 3  # attempt budget = max_retries + 1
-        # the backoff schedule is the seeded per-shard retry_delays schedule
-        assert slept == list(retry_delays(0.05, 2, jitter=0.5,
-                                          rng=random.Random("11:1")))
+        # between attempts it sleeps the constant backoff schedule
+        assert slept == list(retry_delays(SHARD_RETRY_BACKOFF_S, 2)) == [0.05, 0.1]
         status = job_status(tmp_path / "job")
         assert status["shards"]["quarantined"] == [1]
         assert status["complete"]
@@ -519,6 +501,12 @@ class TestKillResume:
                             "--cache-dir", str(cache), *base],
                            fault=faults[0])
         assert first.returncode == -signal.SIGKILL
+        # status right after the kill: nothing committed, nothing done
+        status = json.loads(
+            _batch_cli(["batch", "status", "--job-dir", str(job),
+                        "--json"]).stdout)
+        assert not status["complete"]
+        assert status["shards"]["committed"] == 0
         for fault in faults[1:]:
             killed = _batch_cli(["batch", "resume", "--job-dir", str(job)],
                                 fault=fault)

@@ -249,14 +249,14 @@ def _router_2w_session(env) -> dict:
 
 
 def _batch(env) -> dict:
-    spec = JobSpec(items=CORPUS, structs=True, shard_size=2, backoff=0.0)
+    spec = JobSpec(items=CORPUS, structs=True, shard_size=2)
     return _batch_answers(run_job(env.tmp_path / "job", spec,
                                   model_dir=str(env.bundle_dir)))
 
 
 def _batch_warm_cache(env) -> dict:
     """Two jobs share one window cache; the second reads every row back."""
-    spec = JobSpec(items=CORPUS, structs=True, shard_size=2, backoff=0.0)
+    spec = JobSpec(items=CORPUS, structs=True, shard_size=2)
     cache_dir = env.tmp_path / "cache"
     run_job(env.tmp_path / "cold", spec, model_dir=str(env.bundle_dir),
             cache_dir=cache_dir)
@@ -291,7 +291,7 @@ def _batch_poisoned(env) -> dict:
     poisoned = env.request.getfixturevalue("poisoned_jobs")
     env.request.getfixturevalue("monkeypatch").setattr(
         ManifestItem, "load", lambda item: poisoned[item.name])
-    spec = JobSpec(items=CORPUS, structs=True, shard_size=1, backoff=0.0,
+    spec = JobSpec(items=CORPUS, structs=True, shard_size=1,
                    on_error="skip")
     job_dir = env.tmp_path / "job"
     first = run_job(job_dir, spec, model_dir=str(env.bundle_dir))

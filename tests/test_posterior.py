@@ -234,6 +234,9 @@ class TestEngineIntegration:
             assert a.predicted is b.predicted
             assert a.n_vucs == b.n_vucs
             assert list(a.scores) == list(b.scores)
+        # The recovered layouts are keyed like the DWARF ground truth.
+        truth = truth_layouts(demo_binary, scope_name=stripped.name)
+        assert set(layouts_to_fields(with_structs.layouts)) & set(truth)
 
     def test_truth_layouts_keyed_like_pipeline_objects(self, demo_binary):
         truth = truth_layouts(demo_binary, scope_name="scoped")

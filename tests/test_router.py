@@ -8,7 +8,11 @@ a corrupt bundle answers 409 while the old generation keeps serving; a
 SIGKILLed worker is respawned by the monitor and ``/healthz``
 enumerates the restart; SIGTERM drains the whole tree to rc 0, with a
 request still uploading answered (``test_serve.py``'s
-``test_router_sigterm_finishes_in_flight_request``).
+``test_router_sigterm_finishes_in_flight_request``); and when the
+router itself is SIGKILLed, its workers exit on their own.  Answers are
+compared with offline here only under reload and respawn: the 2-worker
+router's plain answers are the oracle's (``test_oracle.py``'s
+``router-2w-binary`` and ``router-2w-session``).
 
 Every worker loads the bundle through the checksum-verified
 ``Cati.load`` path, and serving writes nothing into the bundle
@@ -43,7 +47,8 @@ from repro.experiments.speed import extents_from_debug
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.router import RouterDaemon
-from tests.test_serve import prediction_tuples, start_daemon, stop_daemon
+from tests.test_serve import (prediction_tuples, serve_cli, start_daemon,
+                              stop_daemon)
 
 
 @pytest.fixture(scope="session")
@@ -308,6 +313,32 @@ class TestBundleDirectory:
         listed = sorted(str(path.relative_to(bundle_dir))
                         for path in bundle_dir.rglob("*") if path.is_file())
         assert listed == sorted(["manifest.json", *manifest["files"]])
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (reads Linux's /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestRouterDeath:
+    def test_workers_exit_when_the_router_is_killed(self, router_bundle_dir):
+        """A SIGKILLed router drains nothing: each worker must notice on
+        its own and exit rather than serve on under pid 1."""
+        with serve_cli(router_bundle_dir, 2) as (process, port, _wait_for):
+            health = ServeClient("127.0.0.1", port, timeout=60).health()
+            pids = [worker["pid"] for worker in health["workers"]]
+            assert len(pids) == 2 and all(running(pid) for pid in pids)
+            process.kill()
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while (any(running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert [pid for pid in pids if running(pid)] == []
 
 
 class _FlakyHTTPServer(threading.Thread):

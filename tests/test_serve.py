@@ -6,6 +6,11 @@ instead of queueing unboundedly, SIGTERM finishes in-flight work, and a
 hot reload never drops traffic — corrupt or config-incompatible bundles
 are rejected while the old model keeps serving.
 
+One request at a time, the daemon's answers are the oracle's
+(``test_oracle.py``); here they are compared with offline only where
+the oracle does not reach: concurrent clients, a malformed neighbour in
+the same batch, reloads and the SIGTERM drain.
+
 On "match": prediction identity (variable id, voted type, VUC count)
 is asserted exactly.  Confidences are compared to 1e-6: the engine's
 GEMMs reduce in shape-dependent order, so coalescing a request into a
@@ -15,6 +20,7 @@ the ~1e-8 level without ever moving a vote.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import os
@@ -392,16 +398,14 @@ class TestHttpServing:
                 assert served["confidence"] == pytest.approx(
                     float(reference.scores.max()), abs=1e-6)
 
-    def test_windows_job_and_metricsz(self, daemon, mini_cati, job_binaries,
-                                      offline_results):
+    def test_windows_job_and_metricsz(self, daemon, mini_cati, job_binaries):
         _daemon, client = daemon
         stripped, extents = job_binaries[1]
         pairs = extract_unlabeled_vucs(stripped, extents,
                                        mini_cati.config.window)
         response = client.infer_windows([t for _v, t in pairs],
                                         [v for v, _t in pairs])
-        assert (prediction_tuples(response["predictions"])
-                == prediction_tuples(offline_results[1]))
+        assert response["predictions"]
         snapshot = client.metrics()
         assert snapshot["counters"].get("serve.requests", 0) >= 1
 
@@ -622,6 +626,70 @@ class TestReload:
 # -- SIGTERM drain (subprocess) ----------------------------------------------------
 
 
+@contextlib.contextmanager
+def serve_cli(bundle_dir, workers: int):
+    """``repro serve --workers N`` as a real subprocess in its own session.
+
+    Yields the process, its port and ``wait_for(prefix, timeout)``, which
+    returns the next output line starting with ``prefix``.  On the way
+    out the whole process group is SIGKILLed, so a failed router case
+    leaves no workers behind without a parent.
+    """
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONUNBUFFERED="1")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--model-dir", str(bundle_dir), "--port", "0",
+         "--workers", str(workers), "--queue-limit", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env, start_new_session=True)
+    assert process.stdout is not None
+    lines: queue.Queue = queue.Queue()
+
+    def pump() -> None:
+        # readline() has no timeout; reading on a thread lets the
+        # deadlines below fire even when an awaited line never arrives.
+        for line in process.stdout:
+            lines.put(line)
+        lines.put(None)
+
+    def wait_for(prefix: str, timeout: float) -> str:
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                pytest.fail(f"no {prefix!r} line within {timeout}s")
+            if line is None:
+                pytest.fail(f"serve process exited before {prefix!r}")
+            if line.startswith(prefix):
+                return line
+
+    threading.Thread(target=pump, daemon=True).start()
+    try:
+        port = int(wait_for("serving on http://", 120).rsplit(":", 1)[1])
+        yield process, port, wait_for
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the whole tree has exited
+        process.wait(timeout=30)
+
+
+def wait_refused(port: int, timeout: float) -> None:
+    """Return once connecting to ``port`` is refused (its listener closed)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+        except ConnectionRefusedError:
+            return
+        except ConnectionResetError:
+            pass  # caught the listener mid-close; probe again
+        time.sleep(0.01)
+    pytest.fail(f"the listener was still open after {timeout}s")
+
+
 class TestSigtermDrain:
     def test_sigterm_finishes_in_flight_request(self, serve_bundle_dir,
                                                 mini_cati, job_binaries):
@@ -636,50 +704,7 @@ class TestSigtermDrain:
 
     @staticmethod
     def check_drain(workers, label, serve_bundle_dir, mini_cati, job_binaries):
-        env = dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONUNBUFFERED="1")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--model-dir", str(serve_bundle_dir), "--port", "0",
-             "--workers", str(workers), "--queue-limit", "8"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, start_new_session=True)
-        assert process.stdout is not None
-        lines: queue.Queue = queue.Queue()
-
-        def pump() -> None:
-            # readline() has no timeout; reading on a thread lets the
-            # deadlines below fire even when an awaited line never arrives.
-            for line in process.stdout:
-                lines.put(line)
-            lines.put(None)
-
-        def wait_for(prefix: str, timeout: float) -> str:
-            deadline = time.monotonic() + timeout
-            while True:
-                try:
-                    line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
-                except queue.Empty:
-                    pytest.fail(f"no {prefix!r} line within {timeout}s")
-                if line is None:
-                    pytest.fail(f"serve process exited before {prefix!r}")
-                if line.startswith(prefix):
-                    return line
-
-        def wait_refused(port: int, timeout: float) -> None:
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                try:
-                    socket.create_connection(("127.0.0.1", port), timeout=5).close()
-                except ConnectionRefusedError:
-                    return
-                except ConnectionResetError:
-                    pass  # caught the listener mid-close; probe again
-                time.sleep(0.01)
-            pytest.fail(f"the listener was still open after {timeout}s")
-
-        threading.Thread(target=pump, daemon=True).start()
-        try:
-            port = int(wait_for("serving on http://", 120).rsplit(":", 1)[1])
+        with serve_cli(serve_bundle_dir, workers) as (process, port, wait_for):
             stripped, extents = job_binaries[0]
             pairs = extract_unlabeled_vucs(stripped, extents,
                                            mini_cati.config.window)
@@ -714,12 +739,6 @@ class TestSigtermDrain:
             assert (prediction_tuples(answer["predictions"])
                     == prediction_tuples(expected))
             assert process.wait(timeout=60) == 0
-        finally:
-            if process.poll() is None:
-                # The router's workers are in its session; a failed run
-                # must not leave them behind without a parent.
-                os.killpg(process.pid, signal.SIGKILL)
-                process.wait(timeout=30)
 
 
 class TestServeFlags:
