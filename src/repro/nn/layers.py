@@ -3,8 +3,16 @@
 Implements exactly what CATI's classifier needs (§V-A): 1-D convolutions
 over the 21-instruction axis, ReLU, max-pooling, dense layers and
 dropout.  Every layer exposes ``forward(x, training)`` and
-``backward(grad)`` with internal caches, plus ``params()`` returning
-(name, value, gradient) triples for the optimizer.
+``backward(grad)``, plus ``params()`` returning (name, value, gradient)
+triples for the optimizer.
+
+State contract: ``forward(x, training=True)`` records exactly what the
+matching ``backward`` reads, and that ``backward`` consumes it;
+``forward(x, training=False)`` writes nothing to the layer.  So an
+inference forward keeps no activation alive past its return, concurrent
+inference forwards on one layer are safe, and a trained model holds no
+minibatch once its last ``backward`` has run.  ``backward`` without a
+pending training forward raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -16,6 +24,17 @@ from repro.nn.initializers import glorot_uniform, he_uniform, zeros
 
 class Layer:
     """Base layer: stateless by default."""
+
+    #: What the pending training forward left for ``backward`` (None: nothing pending).
+    _pending: tuple | None = None
+
+    def _take_pending(self) -> tuple:
+        """Hand the pending training forward's record to ``backward``, once."""
+        pending, self._pending = self._pending, None
+        if pending is None:
+            raise RuntimeError(f"{type(self).__name__}.backward called without a "
+                               "pending training forward")
+        return pending
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -51,7 +70,6 @@ class Conv1d(Layer):
         self.bias = zeros((out_channels,))
         self.d_weight = np.zeros_like(self.weight)
         self.d_bias = np.zeros_like(self.bias)
-        self._cache: tuple | None = None
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
         pad = self.kernel_size // 2
@@ -64,13 +82,12 @@ class Conv1d(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         cols = self._im2col(x)                       # [B, L, K*C]
-        out = cols @ self.weight + self.bias         # [B, L, C_out]
-        self._cache = (x.shape, cols)
-        return out
+        if training:
+            self._pending = (x.shape, cols)
+        return cols @ self.weight + self.bias        # [B, L, C_out]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        x_shape, cols = self._cache
+        x_shape, cols = self._take_pending()
         batch, length, channels = x_shape
         # One BLAS GEMM over the flattened batch x length axis; an einsum
         # over [B, L] never reaches BLAS.  The float64 products of the two
@@ -92,11 +109,14 @@ class Conv1d(Layer):
 
 class ReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        if training:
+            self._pending = (mask,)
+        return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
+        (mask,) = self._take_pending()
+        return grad * mask
 
 
 class MaxPool1d(Layer):
@@ -111,11 +131,12 @@ class MaxPool1d(Layer):
         trimmed = x[:, :out_len * self.pool, :]
         reshaped = trimmed.reshape(batch, out_len, self.pool, channels)
         out = reshaped.max(axis=2)
-        self._cache = (x.shape, reshaped, out)
+        if training:
+            self._pending = (x.shape, reshaped, out)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x_shape, reshaped, out = self._cache
+        x_shape, reshaped, out = self._take_pending()
         mask = reshaped == out[:, :, None, :]
         # Break ties by normalizing so gradient mass is conserved.
         mask = mask / np.maximum(mask.sum(axis=2, keepdims=True), 1)
@@ -129,11 +150,13 @@ class MaxPool1d(Layer):
 
 class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        if training:
+            self._pending = (x.shape,)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(self._shape)
+        (x_shape,) = self._take_pending()
+        return grad.reshape(x_shape)
 
 
 class Dense(Layer):
@@ -148,11 +171,13 @@ class Dense(Layer):
         self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        if training:
+            self._pending = (x,)
         return x @ self.weight + self.bias
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.d_weight[...] = self._x.T @ grad
+        (x,) = self._take_pending()
+        self.d_weight[...] = x.T @ grad
         self.d_bias[...] = grad.sum(axis=0)
         return grad @ self.weight.T
 
@@ -168,17 +193,18 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.rng = rng or np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
+        if not training:
+            return x
+        if self.rate == 0.0:
+            self._pending = (None,)
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = (self.rng.random(x.shape) < keep) / keep
+        self._pending = (mask,)
+        return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
+        (mask,) = self._take_pending()
+        return grad if mask is None else grad * mask

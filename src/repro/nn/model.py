@@ -33,6 +33,8 @@ class Sequential:
     # -- forward / backward ------------------------------------------------------
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Run the stack.  Only a training forward leaves state, which the
+        next :meth:`backward` consumes (see :mod:`repro.nn.layers`)."""
         for layer in self.layers:
             x = layer.forward(x, training=training)
         return x

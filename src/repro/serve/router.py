@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import signal
 import threading
 import time
@@ -205,10 +206,12 @@ class RouterDaemon:
     def _spawn_worker(self, index: int) -> WorkerHandle:
         # Respawned workers join at the router's current fence
         # generation so /healthz stays coherent across restarts, and
-        # inherit the router's metrics switch (--no-metrics).
+        # inherit the router's metrics switch (--no-metrics).  Each
+        # worker's BLAS pool gets its share of the cores.
         options = dict(self._worker_options, initial_generation=self._generation)
         return WorkerHandle(index, self._model_dir, options,
-                            metrics=observability.is_enabled())
+                            metrics=observability.is_enabled(),
+                            blas_threads=max(1, (os.cpu_count() or 1) // self.workers))
 
     @property
     def workers(self) -> int:

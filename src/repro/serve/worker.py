@@ -20,14 +20,22 @@ time.  The spawn handshake travels over a :func:`multiprocessing.Pipe`
 — the child reports ``("ready", {"port": ..., "pid": ...})`` once its
 socket is bound, or ``("error", message)`` when the model fails to
 load, so the router can fail fast instead of timing out.
+
+Each worker's BLAS pool is sized to its share of the cores: it is
+spawned with :data:`BLAS_THREAD_VARS` set to ``blas_threads``, unless
+the operator set any of them, in which case the environment passes
+through unchanged.  Without this, N workers each start a pool as wide
+as the machine and spin against each other.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import threading
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.core.errors import ServeError
@@ -35,6 +43,34 @@ from repro.core.errors import ServeError
 #: Seconds a freshly spawned worker gets to import numpy, load + warm
 #: the model, and bind its socket before the router gives up on it.
 WORKER_START_TIMEOUT_S = 300.0
+
+#: The variables that size a BLAS library's thread pool.  The library
+#: reads them once, while numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Serializes :func:`_blas_environ`'s edits of this process's environment.
+_ENVIRON_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _blas_environ(blas_threads: int) -> Iterator[None]:
+    """Set every BLAS_THREAD_VARS to ``blas_threads`` for one spawn.
+
+    A spawned child starts from a copy of this process's environment and
+    loads numpy before any worker code runs, so the pool size has to be
+    in the environment it starts with.  It is set for the duration of
+    ``Process.start()`` only, and not at all when the operator set any
+    of the variables.
+    """
+    with _ENVIRON_LOCK:
+        operator_set = any(name in os.environ for name in BLAS_THREAD_VARS)
+        added = () if operator_set else BLAS_THREAD_VARS
+        os.environ.update({name: str(blas_threads) for name in added})
+        try:
+            yield
+        finally:
+            for name in added:
+                del os.environ[name]
 
 
 def worker_main(worker_id: int, model_dir: str, options: dict,
@@ -95,7 +131,7 @@ class WorkerHandle:
     """
 
     def __init__(self, worker_id: int, model_dir: str | Path,
-                 options: dict, *, metrics: bool) -> None:
+                 options: dict, *, metrics: bool, blas_threads: int) -> None:
         self.worker_id = worker_id
         self.model_dir = str(model_dir)
         ctx = multiprocessing.get_context("spawn")
@@ -104,7 +140,8 @@ class WorkerHandle:
             target=worker_main,
             args=(worker_id, self.model_dir, options, metrics, child_conn),
             name=f"serve-worker-{worker_id}", daemon=True)
-        self.process.start()
+        with _blas_environ(blas_threads):
+            self.process.start()
         child_conn.close()
         self.port: int | None = None
         self.pid: int | None = None
@@ -166,4 +203,4 @@ class WorkerHandle:
             self.process.join(timeout=5.0)
 
 
-__all__ = ["WORKER_START_TIMEOUT_S", "WorkerHandle", "worker_main"]
+__all__ = ["BLAS_THREAD_VARS", "WORKER_START_TIMEOUT_S", "WorkerHandle", "worker_main"]

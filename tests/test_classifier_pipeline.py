@@ -2,6 +2,9 @@
 session-scoped mini-trained CATI).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.core.types import ALL_TYPES, STAGE_SPECS, Stage, TypeName, stage_labe
 from repro.embedding import word2vec
 from repro.embedding.word2vec import Word2VecConfig
 from repro.nn.layers import Conv1d
+from tests.test_nn_layers import held_arrays, traced_growth
 
 
 class TestClassifier:
@@ -185,6 +189,50 @@ class TestPipeline:
         assert mini_cati.infer_binary(strip(binary), []) == []
 
 
+class TestInferenceState:
+    """The naive forward keeps nothing once it returns, so it is re-entrant."""
+
+    def test_predict_vuc_proba_retains_nothing(self, mini_cati, small_corpus):
+        windows = [s.tokens for s in small_corpus.test.samples[:400]]
+        mini_cati.predict_vuc_proba(windows)  # first-use allocations
+        probs, growth = traced_growth(lambda: mini_cati.predict_vuc_proba(windows))
+        assert probs.shape == (len(windows), 19)
+        assert growth - probs.nbytes <= 1_000_000
+        for stage_model in mini_cati.classifier.stages.values():
+            for layer in stage_model.model.layers:
+                assert held_arrays(layer) == [], type(layer).__name__
+
+    def test_concurrent_leaf_proba_matches_sequential(self, mini_cati, small_corpus):
+        """More threads than cores and a short switch interval, each on its
+        own rows: any layer state shared between forwards would mix them."""
+        x = mini_cati.encode([s.tokens for s in small_corpus.test.samples[:600]])
+        parts = np.array_split(x, 4)
+        want = [mini_cati.classifier.leaf_proba(part) for part in parts]
+        barrier = threading.Barrier(len(parts))
+        got: dict[int, list[np.ndarray]] = {}
+
+        def run(index):
+            barrier.wait()
+            got[index] = [mini_cati.classifier.leaf_proba(parts[index]) for _ in range(3)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(parts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(got) == list(range(len(parts)))
+        for index, expected in enumerate(want):
+            for probs in got[index]:
+                assert probs.dtype == expected.dtype
+                assert probs.tobytes() == expected.tobytes()
+
+
 class TestTrainingKernels:
     def test_reference_kernels_train_identical_weights(self, small_corpus, monkeypatch):
         """Training on the BLAS weight-gradient GEMM and the flat scatter
@@ -200,8 +248,8 @@ class TestTrainingKernels:
         reference_calls = []
 
         def einsum_backward(self, grad):
+            _x_shape, cols = self._pending  # backward consumes it
             d_x = gemm_backward(self, grad)
-            _x_shape, cols = self._cache
             self.d_weight[...] = np.einsum("blk,blo->ko", cols, grad)
             reference_calls.append("conv")
             return d_x

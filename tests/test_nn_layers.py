@@ -1,6 +1,9 @@
 """Gradient checks for every NN layer against finite differences, plus
-shape/behavior tests.
+shape/behavior tests and the layers' state contract.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,13 +29,12 @@ def _numeric_grad(f, x, eps=1e-4):
 
 def _check_input_grad(layer, x, tol=2e-3):
     rng = np.random.default_rng(0)
-    out = layer.forward(x, training=False)
+    out = layer.forward(x, training=True)
     upstream = rng.normal(size=out.shape)
 
     def loss():
         return float((layer.forward(x, training=False) * upstream).sum())
 
-    layer.forward(x, training=False)
     analytic = layer.backward(upstream)
     numeric = _numeric_grad(loss, x)
     assert np.allclose(analytic, numeric, atol=tol), (
@@ -42,10 +44,8 @@ def _check_input_grad(layer, x, tol=2e-3):
 
 def _check_param_grads(layer, x, tol=2e-3):
     rng = np.random.default_rng(1)
-    out = layer.forward(x, training=False)
+    out = layer.forward(x, training=True)
     upstream = rng.normal(size=out.shape)
-
-    layer.forward(x, training=False)
     layer.backward(upstream)
     for name, value, grad in layer.params():
         def loss():
@@ -104,10 +104,11 @@ class TestConv1d:
         rng = np.random.default_rng(11)
         layer = Conv1d(in_channels, out_channels, kernel_size=3, rng=rng)
         layer.d_weight = np.zeros(layer.weight.shape)  # float64: keep the product unrounded
-        layer.forward(rng.normal(size=(64, length, in_channels)).astype(np.float32))
+        layer.forward(rng.normal(size=(64, length, in_channels)).astype(np.float32),
+                      training=True)
+        _x_shape, cols = layer._pending  # backward consumes it
         grad = rng.normal(size=(64, length, out_channels))
         layer.backward(grad)
-        _x_shape, cols = layer._cache
         assert cols.shape == (64, length, 3 * in_channels) and cols.dtype == np.float32
         reference = np.einsum("blk,blo->ko", cols, grad)
         # Both sum 64 * length float64 products per entry, in different orders.
@@ -133,7 +134,7 @@ class TestReLU:
 
     def test_gradient_masks_negatives(self):
         layer = ReLU()
-        layer.forward(np.array([[-1.0, 2.0]]))
+        layer.forward(np.array([[-1.0, 2.0]]), training=True)
         grad = layer.backward(np.array([[5.0, 5.0]]))
         assert np.array_equal(grad, [[0.0, 5.0]])
 
@@ -155,7 +156,7 @@ class TestMaxPool1d:
     def test_gradient_conserved(self):
         layer = MaxPool1d(2)
         x = np.random.default_rng(6).normal(size=(2, 8, 3))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         grad = layer.backward(np.ones_like(out))
         assert np.isclose(grad.sum(), out.size)
 
@@ -166,7 +167,7 @@ class TestMaxPool1d:
     def test_odd_length_trims_tail(self):
         layer = MaxPool1d(2)
         x = np.random.default_rng(8).normal(size=(1, 5, 1))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert out.shape == (1, 2, 1)
         grad = layer.backward(np.ones_like(out))
         assert grad.shape == x.shape
@@ -177,7 +178,7 @@ class TestFlattenDropout:
     def test_flatten_round_trip(self):
         layer = Flatten()
         x = np.random.default_rng(9).normal(size=(2, 3, 4))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert out.shape == (2, 12)
         assert layer.backward(out).shape == x.shape
 
@@ -197,6 +198,101 @@ class TestFlattenDropout:
     def test_dropout_rate_validation(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+
+def held_arrays(layer) -> list[np.ndarray]:
+    """The ndarrays ``layer`` holds beyond its parameters and their gradients."""
+    own = {id(array) for _name, value, grad in layer.params() for array in (value, grad)}
+    found = []
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            if id(value) not in own:
+                found.append(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+
+    for value in vars(layer).values():
+        walk(value)
+    return found
+
+
+def traced_growth(call):
+    """``(call(), bytes still allocated once it returns)``, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+#: (layer factory, input shape): every layer kind, Dropout both when it
+#: draws a mask and when its rate is 0.
+CONTRACT_LAYERS = {
+    "conv1d": (lambda: Conv1d(3, 4, kernel_size=3, rng=np.random.default_rng(12)), (2, 6, 3)),
+    "relu": (ReLU, (2, 6, 3)),
+    "maxpool1d": (lambda: MaxPool1d(2), (2, 6, 3)),
+    "flatten": (Flatten, (2, 6, 3)),
+    "dense": (lambda: Dense(6, 4, rng=np.random.default_rng(13)), (3, 6)),
+    "dropout": (lambda: Dropout(0.5, rng=np.random.default_rng(14)), (3, 6)),
+    "dropout-rate0": (lambda: Dropout(0.0), (3, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_LAYERS))
+class TestStateContract:
+    """``forward(training=True)`` records what ``backward`` reads and
+    ``backward`` consumes it; ``forward(training=False)`` writes nothing."""
+
+    @staticmethod
+    def _layer_and_input(kind):
+        make, shape = CONTRACT_LAYERS[kind]
+        return make(), np.random.default_rng(15).normal(size=shape)
+
+    def test_inference_forward_writes_nothing(self, kind):
+        layer, x = self._layer_and_input(kind)
+        before = dict(vars(layer))
+        layer.forward(x, training=False)
+        after = vars(layer)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+
+    def test_backward_without_training_forward_raises(self, kind):
+        layer, x = self._layer_and_input(kind)
+        out = layer.forward(x, training=False)
+        with pytest.raises(RuntimeError, match=type(layer).__name__):
+            layer.backward(np.ones_like(out))
+
+    def test_backward_consumes_the_training_forward(self, kind):
+        layer, x = self._layer_and_input(kind)
+        out = layer.forward(x, training=True)
+        layer.backward(np.ones_like(out))
+        assert held_arrays(layer) == []
+        with pytest.raises(RuntimeError, match=type(layer).__name__):
+            layer.backward(np.ones_like(out))
+
+
+def test_inference_forward_between_does_not_redirect_backward():
+    """forward(A, training=True), forward(B), backward(grad_A) differentiates A."""
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(size=(2, 2, 7, 3))
+    upstream = rng.normal(size=(2, 7, 4))
+    reference = Conv1d(3, 4, kernel_size=3, rng=np.random.default_rng(17))
+    reference.forward(a, training=True)
+    want_dx = reference.backward(upstream)
+
+    layer = Conv1d(3, 4, kernel_size=3, rng=np.random.default_rng(17))
+    layer.forward(a, training=True)
+    layer.forward(b, training=False)
+    got_dx = layer.backward(upstream)
+    assert np.array_equal(got_dx, want_dx)
+    assert np.array_equal(layer.d_weight, reference.d_weight)
+    assert np.array_equal(layer.d_bias, reference.d_bias)
 
 
 class TestLoss:

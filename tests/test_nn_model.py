@@ -6,6 +6,7 @@ import pytest
 from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential, build_cati_cnn
 from repro.nn.optimizers import SGD, Adam
+from tests.test_nn_layers import held_arrays, traced_growth
 
 
 def _xor_data(n=200, seed=0):
@@ -95,6 +96,18 @@ class TestCatiCnn:
         model = build_cati_cnn(21, 16, 2, conv_channels=(8, 16), fc_width=32)
         result = model.fit(x, y, epochs=30, optimizer=Adam(2e-3), seed=2)
         assert result.train_accuracy[-1] > 0.75
+
+    def test_fit_leaves_no_activation_behind(self):
+        """Once ``fit`` returns no layer holds a minibatch: each backward
+        consumed what its training forward recorded."""
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(256, 21, 96)).astype(np.float32)
+        y = rng.integers(0, 5, size=256)
+        model = build_cati_cnn(21, 96, 5, fc_width=64)
+        _result, growth = traced_growth(lambda: model.fit(x, y, epochs=1, seed=3))
+        assert growth <= 1_000_000
+        for layer in model.layers:
+            assert held_arrays(layer) == [], type(layer).__name__
 
     def test_default_follows_paper_conv_channels(self):
         model = build_cati_cnn(21, 96, 2)

@@ -47,6 +47,7 @@ from repro.experiments.speed import extents_from_debug
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.router import RouterDaemon
+from repro.serve.worker import BLAS_THREAD_VARS
 from tests.test_serve import (prediction_tuples, serve_cli, start_daemon,
                               stop_daemon)
 
@@ -290,6 +291,41 @@ class TestWorkerSettings:
                     np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-6)
         finally:
             stop_router(daemon, thread)
+
+    @staticmethod
+    def _worker_blas_environ(bundle_dir) -> list[dict[str, str]]:
+        """The BLAS variables each worker of a fresh 2-worker router
+        started with (Linux's /proc/<pid>/environ).  The router's own
+        environment is left as it was."""
+        before = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+        daemon, thread, client = start_router(bundle_dir, queue_limit=8)
+        try:
+            found = []
+            for worker in client.health()["workers"]:
+                with open(f"/proc/{worker['pid']}/environ", "rb") as environ:
+                    entries = dict(entry.partition(b"=")[::2]
+                                   for entry in environ.read().split(b"\0") if entry)
+                found.append({name: entries[name.encode()].decode()
+                              for name in BLAS_THREAD_VARS if name.encode() in entries})
+            assert {name: os.environ.get(name) for name in BLAS_THREAD_VARS} == before
+        finally:
+            stop_router(daemon, thread)
+        return found
+
+    def test_each_worker_blas_pool_is_its_share_of_the_cores(
+            self, router_bundle_dir, monkeypatch):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        share = str(max(1, (os.cpu_count() or 1) // 2))
+        assert self._worker_blas_environ(router_bundle_dir) == [
+            dict.fromkeys(BLAS_THREAD_VARS, share)] * 2
+
+    def test_an_operator_blas_setting_passes_through(self, router_bundle_dir, monkeypatch):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert self._worker_blas_environ(router_bundle_dir) == [
+            {"OPENBLAS_NUM_THREADS": "3"}] * 2
 
 
 class TestBundleDirectory:
