@@ -395,7 +395,7 @@ def test_serve_throughput(gcc_context, tmp_path):
     # Cold barrages are the served twin of the offline cold-cache
     # measurement: clear the daemon engine's dedup cache before each
     # repeat (same best-of discipline as offline()).
-    daemon_engine = daemon.model_host.acquire()[1]
+    daemon_engine = daemon.model_host.engine
 
     def served_cold() -> float:
         daemon_engine.clear_cache()

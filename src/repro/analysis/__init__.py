@@ -1,12 +1,12 @@
 """repro.analysis — stateful interactive analysis sessions.
 
 The session subsystem behind ``POST /v1/session/*`` and ``repro repl``:
-open a binary once (parse → locate → group → window → encode), hold
-that state server-side, and answer per-question tools against it at
+open a binary once (parse → locate → group → window), hold that
+state server-side, and answer per-question tools against it at
 interactive latency.
 
 * :mod:`repro.analysis.session` — :class:`AnalysisSession` (the state)
-  and :func:`build_session` (the open-time extraction/encode pass);
+  and :func:`build_session` (the open-time extraction pass);
 * :mod:`repro.analysis.store` — the bounded :class:`SessionStore`
   (TTL + LRU-by-bytes eviction, metrics-instrumented) and the
   :func:`session_slot` hashing that makes sessions sticky under the

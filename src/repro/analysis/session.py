@@ -1,37 +1,35 @@
-"""One open analysis session: a parsed binary's state, encoded once.
+"""One open analysis session: a parsed binary's state, extracted once.
 
 An :class:`AnalysisSession` is what ``POST /v1/session/open`` builds and
 the session store holds: the stripped binary, its variable extents, and
 — computed exactly once, at open — the binary's
 :class:`~repro.vuc.stream.VucStream` (one token stream, a center offset
-per window, row-aligned variable ids and access sites) and the encoded
-id tensor the engine consumes.  Every subsequent tool call against the
-session reuses that state, so the per-question cost of ``type_variable``
-or ``annotate_disassembly`` is one small engine call, not a re-parse.
+per window, row-aligned variable ids and access sites).  Every
+subsequent tool call against the session reuses that state, so the
+per-question cost of ``type_variable`` or ``annotate_disassembly`` is
+one small engine call, not a re-parse.
 
-The extraction/encode pass is the offline ``Cati.infer_binary`` front
-half (:func:`repro.vuc.stream.extract_vuc_stream`, encoded once through
-:meth:`~repro.embedding.encoder.VucEncoder.encode_stream`), which is
-what makes the session tools' outputs equal to the offline paths.
+The extraction pass is the offline ``Cati.infer_binary`` front half
+(:func:`repro.vuc.stream.extract_vuc_stream`), and every call's windows
+are encoded by :meth:`~repro.core.engine.InferenceEngine.score` on the
+engine that scores them, which is what makes the session tools' outputs
+equal to the offline paths.
 
-Reload interplay: the id tensor remembers the engine *generation* it
-was encoded under.  The first tool call after a ``/v1/reload``
-re-encodes the stream once under the new generation
-(:meth:`AnalysisSession.encoded`), so sessions survive a reload at the
-cost of one re-encode, not a 410.  The micro-batch scheduler still
-re-encodes a request whose reload landed between that encode and its
-batch.
+Reload interplay: a session holds no ids, so a ``/v1/reload`` leaves
+nothing stale in it but its cached whole-stream
+:class:`~repro.core.engine.Analysis`, which is kept only while the
+engine that scored it is still the host's
+(:meth:`AnalysisSession.ensure_scored`).  Sessions survive a reload at
+the cost of one re-score of the whole stream, not a 410.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.analysis.render import annotation_variable_ids
 from repro.codegen.binary import Binary
 from repro.core import observability
-from repro.core.config import CatiConfig
 from repro.core.errors import FailureReport, RequestError
 from repro.vuc.dataflow import VariableExtent
 from repro.vuc.stream import VucStream, extract_vuc_stream
@@ -49,20 +47,18 @@ class AnalysisSession:
 
     def __init__(self, session_id: str, binary: Binary,
                  extents: list[list[VariableExtent]], *,
-                 stream: VucStream, ids, generation: int,
+                 stream: VucStream, generation: int,
                  annotations: list[dict[int, str]]) -> None:
         self.session_id = session_id
         self.binary = binary
         self.extents = extents
         #: The binary's windows with row-aligned variable ids and sites.
         self.stream = stream
-        #: The stream's [N, L, 3] id tensor + the engine generation it
-        #: was encoded under; read them through :meth:`encoded`.
-        self.ids = ids
-        self.ids_generation = generation
+        #: The model generation the session was opened under.
+        self.generation = generation
         #: Per function: instruction index → variable id (Fig. 2 joins).
         self.annotations = annotations
-        #: variable id → row indices into stream/ids, extraction order —
+        #: variable id → row indices into the stream, extraction order —
         #: a per-variable slice votes identically to the full matrix
         #: because eq. 3-4's vote is per-variable independent.
         self.rows: dict[str, list[int]] = {}
@@ -70,20 +66,17 @@ class AnalysisSession:
             self.rows.setdefault(variable_id, []).append(row)
         self.created_at = time.time()
         self.nbytes = self._estimate_nbytes()
-        self._lock = threading.Lock()
         self._analysis = None
-        self._scored_generation: int | None = None
 
     def _estimate_nbytes(self) -> int:
         from repro.core.types import ALL_TYPES
 
-        ids_bytes = int(self.ids.nbytes)
         # Reserve the cached leaf-posterior matrix up front so the LRU
         # budget accounts for a session's full resident cost at open.
         probs_bytes = len(self.stream) * len(ALL_TYPES) * 8
         listing_bytes = sum(len(func.instructions) * _INSTRUCTION_OVERHEAD
                             for func in self.binary.functions)
-        return _SESSION_OVERHEAD + ids_bytes + probs_bytes + listing_bytes
+        return _SESSION_OVERHEAD + probs_bytes + listing_bytes
 
     # -- lookups ---------------------------------------------------------------------
 
@@ -127,53 +120,36 @@ class AnalysisSession:
 
     # -- scoring ---------------------------------------------------------------------
 
-    def encoded(self, model_host):
-        """``(ids, engine, generation)``: the stream's ids under the serving engine.
-
-        Re-encodes the stream once when a reload moved the generation;
-        concurrent calls wait on the session lock instead of encoding
-        again.
-        """
-        _cati, engine, generation = model_host.acquire()
-        with self._lock:
-            if self.ids_generation != generation:
-                self.ids = engine.encoder.encode_stream(self.stream)
-                self.ids_generation = generation
-                self._analysis = None  # scored by the replaced engine
-            return self.ids, engine, generation
-
     def ensure_scored(self, daemon):
-        """The whole stream's :class:`~repro.core.engine.Analysis`, once per generation.
+        """The whole stream's :class:`~repro.core.engine.Analysis`, once per engine.
 
         Goes through the daemon's micro-batch scheduler (so concurrent
-        sessions coalesce), whose wait votes on this thread; the cache
-        is invalidated when the engine generation moves.
+        sessions coalesce), whose wait votes on this thread.  The cached
+        Analysis is reused while the engine that scored it is still the
+        one the host serves.
         """
-        ids, _engine, generation = self.encoded(daemon.model_host)
-        with self._lock:
-            if self._analysis is not None and self._scored_generation == generation:
-                return self._analysis
+        # One attribute read and one write, so no lock: concurrent misses
+        # may both score, and either Analysis is a valid cache entry.
+        analysis = self._analysis
+        if analysis is not None and analysis.engine is daemon.model_host.engine:
+            return analysis
         pending = daemon.scheduler.submit(
-            self.stream, deadline_s=daemon.default_deadline_s,
-            ids=ids, generation=generation)
+            self.stream, deadline_s=daemon.default_deadline_s)
         daemon.scheduler.wait(pending, timeout=daemon.default_deadline_s)
-        with self._lock:
-            self._analysis = pending.analysis
-            self._scored_generation = generation
+        self._analysis = pending.analysis
         return pending.analysis
 
 
 def build_session(session_id: str, stripped: Binary,
                   extents: list[list[VariableExtent]], *,
-                  encoder, config: CatiConfig, generation: int,
+                  window: int, generation: int,
                   on_error: str = "skip",
                   failures: FailureReport | None = None) -> AnalysisSession:
-    """Open-time pass: extract, group, encode — once — into a session."""
+    """Open-time pass: extract and group — once — into a session."""
     with observability.span("sessions.extract"):
         stream = extract_vuc_stream(
-            stripped, extents, config.window, on_error=on_error,
+            stripped, extents, window, on_error=on_error,
             failures=failures, sites=True)
-    ids = encoder.encode_stream(stream)
     extracted = set(stream.variable_ids)
     annotations: list[dict[int, str]] = []
     for func_index, func in enumerate(stripped.functions):
@@ -195,7 +171,7 @@ def build_session(session_id: str, stripped: Binary,
                             for index, variable_id in mapping.items()
                             if variable_id in extracted})
     return AnalysisSession(
-        session_id, stripped, extents, stream=stream, ids=ids,
+        session_id, stripped, extents, stream=stream,
         generation=generation, annotations=annotations)
 
 

@@ -67,14 +67,12 @@ def _tool_type_variable(daemon, session: AnalysisSession, args: dict) -> dict:
     if not isinstance(variable_id, str):
         raise RequestError("'variable_id' must be a string", stage="serve")
     rows = session.variable_rows(variable_id)
-    ids, _engine, generation = session.encoded(daemon.model_host)
     # One variable's windows through the scheduler: the small-batch path
     # the interactive latency benchmark measures.  A per-variable slice
     # votes identically to the full-binary matrix (eq. 3-4 sums per
     # variable), so this equals the offline prediction byte-for-byte.
     pending = daemon.scheduler.submit(
-        session.stream.subset(rows), deadline_s=daemon.default_deadline_s,
-        ids=ids[rows], generation=generation)
+        session.stream.subset(rows), deadline_s=daemon.default_deadline_s)
     predictions = daemon.scheduler.wait(pending,
                                         timeout=daemon.default_deadline_s)
     return {
@@ -99,9 +97,9 @@ def _tool_explain(daemon, session: AnalysisSession, args: dict) -> dict:
         raise RequestError(
             f"variable {variable_id!r} has {len(rows)} VUCs; "
             f"'vuc' {vuc} is out of range", stage="serve")
-    window = session.stream.subset([rows[vuc]]).windows()[0]
-    ids, engine, _generation = session.encoded(daemon.model_host)
-    batched = engine.occlusion_epsilons_many(ids[[rows[vuc]]])
+    one = session.stream.subset([rows[vuc]])
+    engine = daemon.model_host.engine
+    batched = engine.occlusion_epsilons_many(engine.encoder.encode_stream(one))
     epsilons = batched.epsilons[0]
     return {
         "variable_id": variable_id,
@@ -110,7 +108,7 @@ def _tool_explain(daemon, session: AnalysisSession, args: dict) -> dict:
         "predicted": str(ALL_TYPES[int(batched.predicted_indices[0])]),
         "base_confidence": float(batched.base_confidences[0]),
         "epsilons": [float(eps) for eps in epsilons],
-        "lines": render_epsilons(window, epsilons),
+        "lines": render_epsilons(one.windows()[0], epsilons),
     }
 
 

@@ -55,8 +55,8 @@ latency), per-stage cascade spans (``cascade.embed`` /
 ``cascade.conv1`` / ``cascade.conv2`` / ``cascade.heads``) and
 per-phase spans under ``infer_binary`` (extract → encode → classify →
 vote → posterior; every entry point scores through
-:meth:`InferenceEngine.score`).  A cumulative metrics snapshot rides along on
-:attr:`InferenceResult.metrics`.  See ``docs/OPERATIONS.md``.
+:meth:`InferenceEngine.score`, the one place a stream is encoded).  See
+``docs/OPERATIONS.md``.
 """
 
 from __future__ import annotations
@@ -127,14 +127,16 @@ class Analysis:
     analysis session's cached Analysis serves concurrent tool calls.
     """
 
-    __slots__ = ("stream", "probs", "_engine", "_lock", "_predictions", "_layouts")
+    __slots__ = ("stream", "probs", "engine", "_lock", "_predictions", "_layouts")
 
     def __init__(self, engine: "InferenceEngine", stream: VucStream,
                  probs: np.ndarray) -> None:
         self.stream = stream
         #: [len(stream), 19] leaf confidences, row-aligned with the stream.
         self.probs = probs
-        self._engine = engine
+        #: The engine that scored the stream; a session keeps its cached
+        #: Analysis only while this is still the served engine.
+        self.engine = engine
         self._lock = threading.Lock()
         self._predictions: list | None = None
         self._layouts: list | None = None
@@ -149,7 +151,7 @@ class Analysis:
             if self._predictions is None:
                 from repro.core.pipeline import predictions_from_probs
 
-                engine = self._engine
+                engine = self.engine
                 with engine._span("vote"):
                     self._predictions = predictions_from_probs(
                         self.probs, self.stream.variable_ids,
@@ -166,7 +168,7 @@ class Analysis:
             if self._layouts is None:
                 from repro.posterior import recover_layouts
 
-                engine = self._engine
+                engine = self.engine
                 with engine._span("posterior"):
                     self._layouts = recover_layouts(
                         predictions, self.probs, self.stream.variable_ids,
@@ -184,15 +186,12 @@ class InferenceResult(list):
     :attr:`failures`.
     """
 
-    __slots__ = ("failures", "metrics", "layouts")
+    __slots__ = ("failures", "layouts")
 
     def __init__(self, predictions=(), failures: FailureReport | None = None,
-                 metrics: dict | None = None, layouts: list | None = None) -> None:
+                 layouts: list | None = None) -> None:
         super().__init__(predictions)
         self.failures = failures if failures is not None else FailureReport()
-        #: Cumulative process-metrics snapshot taken when the run ended
-        #: (None when metrics are disabled); see repro.core.observability.
-        self.metrics = metrics
         #: Recovered struct layouts (repro.posterior.StructLayout); None
         #: when the posterior stage did not run, [] when it ran and found
         #: no recoverable objects.
@@ -699,27 +698,18 @@ class InferenceEngine:
 
     # -- variable-level prediction -----------------------------------------------
 
-    def score(self, streams: Sequence[VucStream],
-              ids: Sequence[np.ndarray | None] | None = None) -> list[Analysis]:
-        """Classify every window of ``streams`` in one engine call.
+    def score(self, streams: Sequence[VucStream]) -> list[Analysis]:
+        """Encode and classify every window of ``streams`` in one engine call.
 
-        Returns one :class:`Analysis` per stream.  ``ids`` optionally
-        gives, per stream, the id tensor its caller already encoded
-        under this engine; a None entry (or no ``ids``) is encoded here
-        through :meth:`~repro.embedding.encoder.VucEncoder.encode_stream`.
+        Returns one :class:`Analysis` per stream.  This is the one place
+        a stream is encoded, so its ids always come from the encoder of
+        the engine that classifies them.
         """
-        parts = list(ids) if ids is not None else [None] * len(streams)
-        if len(parts) != len(streams):
-            raise ValueError(f"{len(parts)} id tensors for {len(streams)} streams")
         if not streams:
             return []
-        if any(part is None for part in parts):
-            with self._span("encode"):
-                parts = [self.encoder.encode_stream(stream) if part is None else part
-                         for stream, part in zip(streams, parts)]
+        with self._span("encode"):
+            parts = [self.encoder.encode_stream(stream) for stream in streams]
         sizes = [len(stream) for stream in streams]
-        if [len(part) for part in parts] != sizes:
-            raise ValueError("every id tensor needs one row per window of its stream")
         with self._span("classify"):
             probs = self.leaf_proba_ids(parts[0] if len(parts) == 1
                                         else np.concatenate(parts))
@@ -769,9 +759,7 @@ class InferenceEngine:
                                    stage="classify", binary=stripped.name)
         if failures is not None:
             failures.extend(report)
-        metrics = observability.snapshot() if self._metrics_on() else None
-        return InferenceResult(predictions, failures=report, metrics=metrics,
-                               layouts=layouts)
+        return InferenceResult(predictions, failures=report, layouts=layouts)
 
     # -- occlusion -----------------------------------------------------------------
 

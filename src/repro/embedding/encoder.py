@@ -126,14 +126,6 @@ class VucEncoder:
         offsets = np.arange(-window, window + 1)
         return rows[np.asarray(stream.centers)[:, None] + offsets]
 
-    def encode_window(self, tokens: Sequence[Tokens]) -> np.ndarray:
-        """One VUC → [len(window), 3*dim] float32 matrix."""
-        flat_ids = self.embedding.vocab.encode(
-            [token for triple in tokens for token in triple]
-        )
-        vectors = self.embedding.embed_ids(flat_ids)
-        return vectors.reshape(len(tokens), self.instruction_dim).astype(np.float32)
-
     def encode_batch(
         self,
         windows: Sequence[Sequence[Tokens]],

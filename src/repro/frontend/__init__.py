@@ -25,23 +25,4 @@ __all__ = [
     "RealVariable",
     "cfa_to_rbp_offset",
     "extract_real_variables",
-    "native_real_variables",
 ]
-
-
-def native_real_variables(binary_path) -> list[RealVariable]:
-    """Extract variables from a real binary via the pure-Python ELF +
-    DWARF parser (:mod:`repro.elf`, :mod:`repro.dwarf.native`) — no
-    readelf required.  Returns the same records as
-    :func:`extract_real_variables`.
-    """
-    from repro.dwarf.native import native_variables
-    from repro.elf.parser import ElfFile
-
-    return [
-        RealVariable(
-            function=v.function, name=v.name,
-            rbp_offset=v.rbp_offset, size=v.size, label=v.label,
-        )
-        for v in native_variables(ElfFile.load(binary_path))
-    ]

@@ -20,8 +20,12 @@ the request path:
 
 A rejected reload (corrupt payload, schema drift, config mismatch)
 raises before step 3, so the previous model keeps serving untouched.
-Batches already running against the old engine finish on it — the old
-object stays alive as long as any batch holds a reference.
+Callers read the served engine from :attr:`ModelHost.engine`; a batch
+that read the old engine finishes on it — the old object stays alive as
+long as any batch holds a reference.  Nothing outside the host holds
+state tied to an engine except the :class:`~repro.core.engine.Analysis`
+it returned, which names it, so a session keeps its cached Analysis only
+while that engine is still the host's.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from pathlib import Path
 from repro.core import observability
 from repro.core.artifacts import ModelBundle
 from repro.core.config import CatiConfig
+from repro.core.engine import InferenceEngine
 from repro.core.errors import ArtifactError
 from repro.core.pipeline import Cati
 
@@ -82,14 +87,15 @@ class ModelHost:
     def model_dir(self) -> Path:
         return self._model_dir
 
-    def acquire(self):
-        """A consistent ``(cati, engine, generation)`` snapshot.
+    @property
+    def engine(self) -> InferenceEngine:
+        """The served engine.
 
-        Callers keep the returned objects for the whole batch; a reload
-        meanwhile swaps the host's references but never mutates these.
+        Callers keep the returned engine for the whole batch; a reload
+        meanwhile swaps the host's reference but never mutates it.
         """
         with self._lock:
-            return self._cati, self._engine, self._generation
+            return self._engine
 
     def model_info(self) -> dict:
         """The model block surfaced in /healthz and infer responses."""

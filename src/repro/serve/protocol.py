@@ -23,8 +23,11 @@ Every job becomes one :class:`~repro.vuc.stream.VucStream` (packed
 windows lie end to end, :func:`stream_from_packed`), so the serving
 layer encodes only through ``VucEncoder.encode_stream``.
 
-Optional request fields: ``on_error`` (``"skip"``/``"raise"``),
-``deadline_ms`` (per-request deadline).
+Optional request fields: ``on_error`` (``"skip"``, the default, or
+``"raise"``; :func:`on_error_field`), ``deadline_ms`` (a per-request
+deadline; :func:`deadline_field`).  A ``/v1/reload`` body may name a
+``model_dir`` (:func:`model_dir_field`).  A malformed field is a
+:class:`RequestError` (400), like a malformed job.
 
 The response schema (:func:`build_infer_response`) is shared verbatim
 with ``python -m repro infer --json``: ``schema``, ``model`` info,
@@ -48,13 +51,14 @@ automatically served by both deployment shapes.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.asm.instruction import FunctionListing
 from repro.asm.parser import AsmParseError, parse_instruction
 from repro.codegen.binary import Binary
-from repro.core.errors import FailureReport, RequestError
+from repro.core.errors import ON_ERROR_VALUES, FailureReport, RequestError
 from repro.vuc.dataflow import VariableExtent
 from repro.vuc.intern import intern_line
 from repro.vuc.stream import VucStream
@@ -82,6 +86,10 @@ TOOL_SCHEMA = "cati-tool-call/1"
 #: a whole binary.  Pre-extracted window jobs have no listing to
 #: disassemble or annotate, so they cannot back a session.
 SESSION_JOB_KINDS = ("binary", "demo")
+
+#: The longest ``deadline_ms`` a request may ask for: the longest wait
+#: ``threading`` accepts.
+_MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1000.0
 
 
 # -- Binary <-> wire ------------------------------------------------------------
@@ -222,11 +230,7 @@ def stream_from_packed(packed: object, variable_ids: object,
         except ValueError as error:
             raise RequestError(f"packed window {index}: {error}",
                                stage="serve") from error
-    stream = VucStream(window)
-    stream.tokens = tokens
-    stream.centers = list(range(window, len(tokens), length))
-    stream.variable_ids = [str(v) for v in variable_ids]
-    return stream
+    return VucStream.end_to_end(tokens, [str(v) for v in variable_ids], window)
 
 
 def unpack_windows(packed: Sequence[str]) -> list[tuple]:
@@ -248,6 +252,41 @@ def job_kind(request: dict) -> str:
             f"request must carry exactly one of {JOB_KINDS}, got {present or 'none'}",
             stage="serve")
     return present[0]
+
+
+def on_error_field(request: dict) -> str:
+    """The request's ``on_error`` policy; ``"skip"`` when absent."""
+    on_error = request.get("on_error", "skip")
+    if on_error not in ON_ERROR_VALUES:
+        raise RequestError(f"'on_error' must be one of {ON_ERROR_VALUES}, "
+                           f"got {on_error!r}", stage="serve")
+    return on_error
+
+
+def deadline_field(request: dict, default_s: float | None) -> float | None:
+    """The request's deadline in seconds; ``default_s`` when absent or null.
+
+    ``deadline_ms`` must be a number of milliseconds from 0 to the
+    longest wait ``threading`` accepts: a bool, NaN or infinity is a
+    :class:`RequestError`, not a deadline.
+    """
+    value = request.get("deadline_ms")
+    if value is None:
+        return default_s
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= _MAX_DEADLINE_MS):
+        raise RequestError(f"'deadline_ms' must be a number from 0 to "
+                           f"{_MAX_DEADLINE_MS:.0f}, got {value!r}", stage="serve")
+    return value / 1000.0
+
+
+def model_dir_field(request: dict) -> str | None:
+    """A ``/v1/reload`` body's ``model_dir``; None (the served one) when absent."""
+    model_dir = request.get("model_dir")
+    if model_dir is not None and not isinstance(model_dir, str):
+        raise RequestError(f"'model_dir' must be a string, got {model_dir!r}",
+                           stage="serve")
+    return model_dir
 
 
 # -- responses ------------------------------------------------------------------
@@ -356,7 +395,7 @@ def session_open_response(session, *, ttl_s: float,
             "n_windows": len(session.stream),
             "nbytes": session.nbytes,
             "ttl_s": ttl_s,
-            "generation": session.ids_generation,
+            "generation": session.generation,
             "variables": sorted(session.rows),
         },
         "model": dict(model or {}),

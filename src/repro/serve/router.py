@@ -68,6 +68,7 @@ from repro.core.errors import (
     ServeError,
     SessionGoneError,
 )
+from repro.serve import protocol
 from repro.serve.server import _Handler, _Server, write_line
 from repro.serve.worker import WorkerHandle
 
@@ -127,9 +128,9 @@ class _RouterHandler(_Handler):
     _handle_session_open = _handle_session_action = _handle_session
 
     def _handle_reload(self) -> None:
-        request = self._read_body()
+        model_dir = protocol.model_dir_field(self._read_body())
         try:
-            result = self.daemon.reload(request.get("model_dir"))
+            result = self.daemon.reload(model_dir)
         except ArtifactError as error:
             self._send_error(409, error)
             return

@@ -3,15 +3,15 @@
 The engine's batched path amortizes encode/dedup/GEMM cost over many
 windows, but one HTTP request usually carries one binary's worth. The
 scheduler closes that gap: handler threads :meth:`submit` one
-:class:`~repro.vuc.stream.VucStream` each (with its id tensor, when
-they already encoded it) and block; a single worker thread collects
-everything that arrives within :data:`COALESCE_DELAY_S` of the first
-request (up to :data:`MAX_BATCH_WINDOWS` windows) and scores them in
-**one** :meth:`~repro.core.engine.InferenceEngine.score` call,
-which re-encodes any request whose ids predate a reload.  Each request
-gets its own :class:`~repro.core.engine.Analysis` and votes its own
-rows, so grouping and summation order per request are exactly the
-offline ``Cati.infer_binary`` path's.
+:class:`~repro.vuc.stream.VucStream` each and block; a single worker
+thread collects everything that arrives within :data:`COALESCE_DELAY_S`
+of the first request (up to :data:`MAX_BATCH_WINDOWS` windows) and
+scores them in **one** :meth:`~repro.core.engine.InferenceEngine.score`
+call on the engine the host serves when the batch runs, which encodes
+every stream itself.  Each request gets its own
+:class:`~repro.core.engine.Analysis` and votes its own rows, so
+grouping and summation order per request are exactly the offline
+``Cati.infer_binary`` path's.
 
 Admission control lives at :meth:`submit`: a bounded queue (by pending
 *requests*) raises :class:`~repro.core.errors.QueueFullError` carrying a
@@ -70,17 +70,11 @@ class PendingRequest:
     serializes per-request voting between engine calls.
     """
 
-    __slots__ = ("stream", "ids", "generation", "deadline", "event", "analysis",
-                 "error")
+    __slots__ = ("stream", "deadline", "event", "analysis", "error")
 
-    def __init__(self, stream, deadline: float | None, ids=None,
-                 generation: int | None = None) -> None:
+    def __init__(self, stream, deadline: float | None) -> None:
         #: The request's windows and their row-aligned variable ids.
         self.stream = stream
-        #: Pre-encoded id tensor from the submitting thread (optional);
-        #: only trusted while ``generation`` still matches the engine.
-        self.ids = ids
-        self.generation = generation
         #: Absolute ``time.monotonic()`` deadline, or None.
         self.deadline = deadline
         self.event = threading.Event()
@@ -133,24 +127,18 @@ class MicroBatchScheduler:
         with self._lock:
             return len(self._queue) + self._in_flight
 
-    def submit(self, stream, deadline_s: float | None = None,
-               ids=None, generation: int | None = None) -> PendingRequest:
+    def submit(self, stream, deadline_s: float | None = None) -> PendingRequest:
         """Enqueue one request's stream; raises instead of queueing on overload.
 
         ``stream`` is a :class:`~repro.vuc.stream.VucStream`.
         ``deadline_s`` is a relative budget; it bounds queue wait (the
         HTTP layer separately bounds the wait on the result event).
-        Callers may pass a pre-encoded ``ids`` tensor together with the
-        engine ``generation`` it was encoded under — the worker uses it
-        only if no reload happened in between.
         """
         deadline = (time.monotonic() + deadline_s
                     if deadline_s is not None else None)
-        pending = PendingRequest(stream, deadline, ids=ids,
-                                 generation=generation)
+        pending = PendingRequest(stream, deadline)
         if not len(stream):
-            _cati, engine, _generation = self.host.acquire()
-            pending.finish(engine.score([stream])[0])
+            pending.finish(self.host.engine.score([stream])[0])
             return pending
         with self._lock:
             if self._closed:
@@ -252,16 +240,11 @@ class MicroBatchScheduler:
         if not live:
             return
         try:
-            _cati, engine, generation = self.host.acquire()
+            engine = self.host.engine
             total = sum(len(r.stream) for r in live)
             started = time.monotonic()
             with observability.span("serve.batch"):
-                # Submitter-encoded ids are reused only when no reload
-                # happened since; otherwise the engine that actually runs
-                # the batch re-encodes.
-                analyses = engine.score(
-                    [r.stream for r in live],
-                    [r.ids if r.generation == generation else None for r in live])
+                analyses = engine.score([r.stream for r in live])
                 for request, analysis in zip(live, analyses):
                     request.finish(analysis)
             if observability.is_enabled():

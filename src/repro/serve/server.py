@@ -4,9 +4,8 @@ Stdlib only (``http.server``'s :class:`ThreadingHTTPServer`): each
 connection gets a handler thread that parses the request into one
 :class:`~repro.vuc.stream.VucStream` — for binary jobs by running VUC
 extraction (pure Python, so it overlaps other threads' engine GEMMs) —
-encodes it, then blocks on the
-:class:`~repro.serve.scheduler.MicroBatchScheduler` for the coalesced
-engine call.
+then blocks on the :class:`~repro.serve.scheduler.MicroBatchScheduler`
+for the coalesced engine call, which encodes and scores it.
 
 Endpoints:
 
@@ -25,8 +24,9 @@ Endpoints:
 * ``POST /v1/session/<id>/close`` — drop the session explicitly.
 * ``POST /v1/reload`` — verify + swap a model bundle; 409 when the
   bundle is rejected (corrupt, schema drift, structural config
-  mismatch) — the old model keeps serving.  Open sessions survive: each
-  re-encodes its stream once under the new engine generation.
+  mismatch) — the old model keeps serving.  Open sessions survive: the
+  next call that needs a session's whole stream scores it once more,
+  under the new engine.
 * ``GET /healthz``    — status, ``repro.__version__``, uptime, model
   generation/provenance, queue depth, request-latency quantiles, and
   the session store's occupancy/eviction block.
@@ -61,7 +61,6 @@ from repro.core.errors import (
     FailureReport,
     RequestError,
     ServeError,
-    check_on_error,
     handle_failure,
 )
 from repro.serve import protocol
@@ -205,21 +204,12 @@ class _Handler(BaseHTTPRequestHandler):
         daemon = self.daemon
         started = time.monotonic()
         request = self._read_body()
-        on_error = str(request.get("on_error", "skip"))
-        check_on_error(on_error)
-        deadline_s = daemon.default_deadline_s
-        if request.get("deadline_ms") is not None:
-            deadline_s = float(request["deadline_ms"]) / 1000.0
+        on_error = protocol.on_error_field(request)
+        deadline_s = protocol.deadline_field(request, daemon.default_deadline_s)
         failures = FailureReport()
         stream, binary_name = daemon.prepare_job(
             request, on_error=on_error, failures=failures)
-        # Pre-encode on this handler thread (overlapping other requests'
-        # engine time); the scheduler re-encodes only if a reload swaps
-        # the engine before the batch runs.
-        _cati, engine, generation = daemon.model_host.acquire()
-        pending = daemon.scheduler.submit(
-            stream, deadline_s=deadline_s,
-            ids=engine.encoder.encode_stream(stream), generation=generation)
+        pending = daemon.scheduler.submit(stream, deadline_s=deadline_s)
         try:
             predictions = daemon.scheduler.wait(pending, timeout=deadline_s)
         except ServeError:
@@ -240,8 +230,7 @@ class _Handler(BaseHTTPRequestHandler):
         daemon = self.daemon
         started = time.monotonic()
         request = self._read_body()
-        on_error = str(request.get("on_error", "skip"))
-        check_on_error(on_error)
+        on_error = protocol.on_error_field(request)
         failures = FailureReport()
         session = daemon.open_session(request, on_error=on_error,
                                       failures=failures)
@@ -282,8 +271,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, protocol.tool_response(session_id, tool, result))
 
     def _handle_reload(self) -> None:
-        request = self._read_body()
-        model_dir = request.get("model_dir")
+        model_dir = protocol.model_dir_field(self._read_body())
         try:
             info = self.daemon.model_host.reload(model_dir)
         except ArtifactError as error:
@@ -390,12 +378,11 @@ class ServeDaemon:
                 f"sessions need one of {protocol.SESSION_JOB_KINDS} "
                 f"(a whole binary), got a {kind!r} job", stage="serve")
         stripped, extents = self._binary_job(request, kind)
-        cati, engine, generation = self.model_host.acquire()
         with observability.span("sessions.open"):
             session = build_session(
                 mint_session_id(self._slot_index, self._slot_count),
-                stripped, extents, encoder=engine.encoder,
-                config=cati.config, generation=generation,
+                stripped, extents, window=self.model_host.config.window,
+                generation=self.model_host.generation,
                 on_error=on_error, failures=failures)
         self.sessions.put(session)
         return session

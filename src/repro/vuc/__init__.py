@@ -2,7 +2,7 @@
 generalization — the feature-extraction half of CATI (§II, §IV).
 """
 
-from repro.vuc.context import DEFAULT_WINDOW, Vuc, extract_vuc, extract_vucs_for_targets
+from repro.vuc.context import DEFAULT_WINDOW, Vuc, extract_vuc
 from repro.vuc.dataflow import VariableExtent, VariableGroup, group_targets
 from repro.vuc.dataset import (
     LabeledVuc,
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "Vuc",
     "extract_vuc",
-    "extract_vucs_for_targets",
     "VariableExtent",
     "VariableGroup",
     "group_targets",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asm.instruction import FunctionListing, Instruction
-from repro.vuc.locate import Target
 
 #: The paper's window size (10 before + 10 after + target = 21).
 DEFAULT_WINDOW = 10
@@ -57,11 +56,3 @@ def extract_vuc(listing: FunctionListing, index: int, window: int = DEFAULT_WIND
             slots.append(PAD)
     return Vuc(window=tuple(slots), target_index=index, window_size=window)
 
-
-def extract_vucs_for_targets(
-    listing: FunctionListing,
-    targets: list[Target],
-    window: int = DEFAULT_WINDOW,
-) -> list[Vuc]:
-    """Extract one VUC per located target, in order."""
-    return [extract_vuc(listing, target.index, window) for target in targets]

@@ -81,12 +81,6 @@ class VucDataset:
             seen.setdefault(sample.app, None)
         return list(seen)
 
-    def filter_app(self, app: str) -> "VucDataset":
-        return VucDataset(
-            samples=[s for s in self.samples if s.app == app],
-            window=self.window,
-        )
-
     def subsample(self, limit: int, seed: int = 0) -> "VucDataset":
         """Deterministically subsample whole variables down to ~limit VUCs."""
         import random

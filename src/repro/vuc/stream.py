@@ -53,16 +53,35 @@ class VucStream:
     def __len__(self) -> int:
         return len(self.centers)
 
-    def subset(self, rows: Sequence[int]) -> "VucStream":
-        """The windows at ``rows``, sharing this stream's token list.
+    @classmethod
+    def end_to_end(cls, tokens: list[Tokens], variable_ids: list[str],
+                   window: int) -> "VucStream":
+        """A stream of whole windows laid end to end.
 
-        Access sites are not carried over.
+        ``tokens`` holds ``len(variable_ids)`` windows of ``2w + 1``
+        slots each, so window ``i`` is centered on slot
+        ``i * (2w + 1) + w``.
         """
-        sub = VucStream(self.window)
-        sub.tokens = self.tokens
-        sub.centers = [self.centers[row] for row in rows]
-        sub.variable_ids = [self.variable_ids[row] for row in rows]
-        return sub
+        stream = cls(window)
+        stream.tokens = tokens
+        stream.centers = list(range(window, len(tokens), 2 * window + 1))
+        stream.variable_ids = variable_ids
+        return stream
+
+    def subset(self, rows: Sequence[int]) -> "VucStream":
+        """A standalone stream of the windows at ``rows``, in that order.
+
+        It holds only those windows' ``len(rows) * (2w + 1)`` slots, so
+        encoding it costs as much as its own windows.  Access sites are
+        not carried over.
+        """
+        tokens, w = self.tokens, self.window
+        laid: list[Tokens] = []
+        for row in rows:
+            center = self.centers[row]
+            laid += tokens[center - w:center + w + 1]
+        return VucStream.end_to_end(
+            laid, [self.variable_ids[row] for row in rows], w)
 
     def add_function(self, listing: FunctionListing, indices: Sequence[int],
                      variable_ids: Sequence[str]) -> None:

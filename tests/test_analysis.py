@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -42,7 +43,7 @@ from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.router import RouterDaemon
 from repro.vuc.dataset import extract_unlabeled_vucs
 from tests.test_router import wait_all_live
-from tests.test_serve import start_daemon, stop_daemon
+from tests.test_serve import BlockableEngine, start_daemon, stop_daemon
 
 
 class StubSession:
@@ -336,6 +337,83 @@ class TestSessionTools:
             assert encodes == [handle.info["n_windows"]]
         finally:
             stop_daemon(daemon, thread)
+
+    def test_reload_behind_a_queued_score_costs_no_rescore(
+            self, analysis_bundle_dir, target):
+        """A whole-stream score that a reload overtakes in the queue runs
+        on the new engine, so the next call reuses it."""
+        daemon, thread, client = start_daemon(analysis_bundle_dir, queue_limit=8)
+        gate = BlockableEngine(daemon.model_host.engine)
+        try:
+            handle = client.session(binary=target[0], extents=target[1])
+            session = daemon.sessions.get(handle.id)
+            gate.block()
+            blocker = daemon.scheduler.submit(session.stream.subset([0]))
+            assert gate.entered.wait(timeout=10)  # the worker holds the blocker
+            answers: list = []
+            queued = threading.Thread(target=lambda: answers.append(
+                handle.annotate_disassembly(function=0)))
+            queued.start()
+            deadline = time.monotonic() + 10
+            while daemon.scheduler.queue_depth < 2:  # the blocker + the annotate
+                assert time.monotonic() < deadline, "the annotate call never queued"
+                time.sleep(0.01)
+            client.reload()
+            gate.gate.set()
+            daemon.scheduler.wait(blocker, timeout=30)
+            queued.join(timeout=60)
+            assert not queued.is_alive() and answers
+            counter = BlockableEngine(daemon.model_host.engine)
+            assert handle.annotate_disassembly(function=0) == answers[0]
+            assert counter.calls == 0
+        finally:
+            gate.gate.set()
+            stop_daemon(daemon, thread)
+
+    def test_calls_racing_a_reload_answer_as_offline(
+            self, analysis_bundle_dir, target, offline):
+        """More client threads than cores call one session, under a short
+        switch interval, while a reload swaps the engine: every answer is
+        the offline one."""
+        stripped, extents = target
+        types = {p.variable_id: str(p.predicted) for p in offline}
+        listings = []
+        for index, func in enumerate(stripped.functions):
+            ids = annotation_variable_ids(func, extents[index], f"{stripped.name}/{index}")
+            listings.append(render_listing(
+                func, {i: types[vid] for i, vid in ids.items() if vid in types}))
+        daemon, thread, client = start_daemon(analysis_bundle_dir, queue_limit=64)
+        switch = sys.getswitchinterval()
+        errors: list = []
+        try:
+            handle = client.session(binary=stripped, extents=extents)
+            variables = handle.variables
+
+            def caller(slot: int) -> None:
+                try:
+                    for step in range(6):
+                        index = (slot + step) % len(listings)
+                        served = handle.annotate_disassembly(function=index)
+                        assert served["lines"] == listings[index]
+                        variable_id = variables[(slot * 6 + step) % len(variables)]
+                        typed = handle.type_variable(variable_id)["prediction"]
+                        assert typed["type"] == types[variable_id]
+                except Exception as error:  # noqa: BLE001 — collected for assert
+                    errors.append(error)
+
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=caller, args=(slot,))
+                       for slot in range(2 * (os.cpu_count() or 1) + 2)]
+            for t in threads:
+                t.start()
+            client.reload()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+            stop_daemon(daemon, thread)
+        assert not errors, errors[:3]
 
     def test_windows_job_cannot_open_session(self, daemon, small_corpus):
         _daemon, client = daemon

@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm.instruction import FunctionListing, make
 from repro.asm.operands import Imm, Mem, Reg
-from repro.vuc.context import extract_vuc, extract_vucs_for_targets
+from repro.vuc.context import extract_vuc
 from repro.vuc.dataflow import AccessSite, VariableExtent, access_site, group_targets
 from repro.vuc.locate import Target, TargetKind, locate_targets
 
@@ -155,9 +155,3 @@ class TestVucExtraction:
     def test_custom_window_size(self):
         vuc = extract_vuc(self._listing(50), 25, window=3)
         assert len(vuc) == 7
-
-    def test_extract_for_targets_order_preserved(self):
-        listing = self._listing(30)
-        targets = [_slot_target(5, -4), _slot_target(20, -4)]
-        vucs = extract_vucs_for_targets(listing, targets)
-        assert [v.target_index for v in vucs] == [5, 20]

@@ -71,10 +71,6 @@ class TestDatasetHelpers:
         assert sum(dataset.label_counts().values()) == len(dataset)
         assert sum(dataset.variable_label_counts().values()) == dataset.n_variables()
 
-    def test_filter_app(self, dataset):
-        assert len(dataset.filter_app("ds")) == len(dataset)
-        assert len(dataset.filter_app("other")) == 0
-
     def test_extend_merges(self, dataset):
         merged = VucDataset(window=dataset.window)
         merged.extend(dataset)

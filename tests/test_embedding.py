@@ -135,13 +135,13 @@ class TestEncoder:
 
     def test_window_shape(self, encoder):
         window = [("mov", "%rax", "%rbx")] * 21
-        matrix = encoder.encode_window(window)
+        (matrix,) = encoder.encode_batch([window])
         assert matrix.shape == (21, 96)
         assert matrix.dtype == np.float32
 
     def test_instruction_concatenation_order(self, encoder):
         window = [("mov", "%rax", "%rbx")]
-        matrix = encoder.encode_window(window)
+        (matrix,) = encoder.encode_batch([window])
         assert np.array_equal(matrix[0, :32], encoder.embedding["mov"])
         assert np.array_equal(matrix[0, 32:64], encoder.embedding["%rax"])
         assert np.array_equal(matrix[0, 64:], encoder.embedding["%rbx"])

@@ -146,14 +146,6 @@ class TestVoteEquivalence:
         for a, b in zip(fast, naive):
             assert np.abs(a.scores - b.scores).max() <= TOL
 
-    def test_misaligned_inputs_raise(self, mini_cati, test_windows, test_variable_ids):
-        stream = stream_of(test_windows, test_variable_ids, mini_cati.config.window)
-        ids = mini_cati.encoder.encode_stream(stream)
-        with pytest.raises(ValueError):
-            mini_cati.engine.score([stream], [ids[:-1]])
-        with pytest.raises(ValueError):
-            mini_cati.engine.score([stream, stream], [ids])
-
 
 class TestOcclusionEquivalence:
     def test_matches_naive(self, mini_cati, test_windows):

@@ -364,10 +364,6 @@ def test_infer_binary_emits_phase_spans(mini_cati, fresh_global_registry):
     assert snap["histograms"]["vote.margin"]["count"] == len(result)
     assert counters["vote.confidences"] > 0
 
-    # the result carries the cumulative snapshot
-    assert result.metrics is not None
-    assert result.metrics["counters"]["engine.windows"] > 0
-
 
 def test_repeat_inference_hits_cache(mini_cati, fresh_global_registry):
     binary = GccCompiler().compile_fresh(seed=12, name="obs2", opt_level=1)
@@ -391,7 +387,6 @@ def test_metrics_disabled_config_skips_pipeline_metrics(mini_cati, fresh_global_
     finally:
         observability.set_enabled(True)
     assert len(result) > 0
-    assert result.metrics is None
     snap = fresh_global_registry.snapshot()
     assert "engine.windows" not in snap["counters"]
     assert not snap["spans"]
@@ -436,11 +431,17 @@ def test_toolchain_metrics_count_retries_and_failures(fresh_global_registry):
 
 
 def test_inference_result_pickles_with_metrics(mini_cati):
+    """A result pickles whole: its predictions, failures and layouts."""
     import pickle
 
     from repro.core.engine import InferenceResult
+    from repro.core.errors import FailureReport
 
-    result = InferenceResult([1, 2], metrics={"counters": {"a": 1}})
+    records = [{"stage": "decode", "kind": "DecodeError", "message": "bad bytes",
+                "binary": "b", "function": "f", "traceback": "tb"}]
+    result = InferenceResult([1, 2], failures=FailureReport.from_records(records),
+                             layouts=["layout"])
     clone = pickle.loads(pickle.dumps(result))
     assert list(clone) == [1, 2]
-    assert clone.metrics == {"counters": {"a": 1}}
+    assert clone.failures.records_to_dicts() == records
+    assert clone.layouts == ["layout"]

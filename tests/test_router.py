@@ -48,8 +48,8 @@ from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.router import RouterDaemon
 from repro.serve.worker import BLAS_THREAD_VARS
-from tests.test_serve import (prediction_tuples, serve_cli, start_daemon,
-                              stop_daemon)
+from tests.test_serve import (MALFORMED_ENVELOPES, prediction_tuples, serve_cli,
+                              start_daemon, stop_daemon)
 
 
 @pytest.fixture(scope="session")
@@ -160,6 +160,16 @@ class TestRouterServing:
         # Bucket merges stay internally consistent.
         hist = merged["histograms"]["serve.batch.seconds"]
         assert sum(hist["counts"]) == hist["count"]
+
+    def test_malformed_envelopes_get_400(self, router):
+        """The router's own reload handler and the workers behind it
+        answer a malformed envelope field with 400."""
+        _daemon, client = router
+        for path, body in MALFORMED_ENVELOPES:
+            with pytest.raises(ServeClientError) as excinfo:
+                client._request("POST", path, body)
+            assert excinfo.value.status == 400, (path, body)
+            assert excinfo.value.kind == "RequestError", (path, body)
 
     def test_rolling_reload_under_load_drops_nothing(
             self, router, router_windows, router_expected):

@@ -120,6 +120,18 @@ def daemon(serve_bundle_dir):
     stop_daemon(daemon, thread)
 
 
+#: Request envelopes whose ``on_error``, ``deadline_ms`` or ``model_dir``
+#: field is malformed; each must answer 400, not 500 or a silent default.
+EMPTY_JOB = {"windows_packed": [], "variable_ids": []}
+MALFORMED_ENVELOPES = (
+    *(("/v1/infer", {**EMPTY_JOB, "on_error": value}) for value in ("bogus", 5, None)),
+    *(("/v1/infer", {**EMPTY_JOB, "deadline_ms": value})
+      for value in ("abc", [1], float("nan"), True, float("inf"), 1e300, -1)),
+    ("/v1/session/open", {"demo": {}, "on_error": "bogus"}),
+    ("/v1/reload", {"model_dir": 5}),
+)
+
+
 # -- protocol ---------------------------------------------------------------------
 
 
@@ -269,7 +281,7 @@ class TestScheduler:
 
     def test_queued_requests_coalesce_into_one_engine_call(
             self, host, stream, mini_cati):
-        _cati, engine, _gen = host.acquire()
+        engine = host.engine
         gate = BlockableEngine(engine)
         scheduler = MicroBatchScheduler(host, queue_limit=32)
         scheduler.start()
@@ -292,7 +304,7 @@ class TestScheduler:
             scheduler.close(timeout=10)
 
     def test_queue_full_raises_with_retry_hint(self, host, stream):
-        _cati, engine, _gen = host.acquire()
+        engine = host.engine
         gate = BlockableEngine(engine)
         scheduler = MicroBatchScheduler(host, queue_limit=1)
         scheduler.start()
@@ -313,7 +325,7 @@ class TestScheduler:
             scheduler.close(timeout=10)
 
     def test_deadline_expires_in_queue(self, host, stream):
-        _cati, engine, _gen = host.acquire()
+        engine = host.engine
         gate = BlockableEngine(engine)
         scheduler = MicroBatchScheduler(host, queue_limit=8)
         scheduler.start()
@@ -427,7 +439,7 @@ class TestHttpServing:
         # answering the well-formed request with no predictions.
         daemon, thread, client = start_daemon(serve_bundle_dir, queue_limit=8)
         try:
-            _cati, engine, _gen = daemon.model_host.acquire()
+            engine = daemon.model_host.engine
             gate = BlockableEngine(engine)
             stripped, extents = job_binaries[1]
             stream = extract_vuc_stream(stripped, extents,
@@ -495,11 +507,16 @@ class TestHttpServing:
         with pytest.raises(ServeClientError) as excinfo:
             client._request("POST", "/v1/nope", {})
         assert excinfo.value.status == 404
+        for path, body in MALFORMED_ENVELOPES:
+            with pytest.raises(ServeClientError) as excinfo:
+                client._request("POST", path, body)
+            assert excinfo.value.status == 400, (path, body)
+            assert excinfo.value.kind == "RequestError", (path, body)
 
     def test_queue_full_returns_503_with_retry_after(self, serve_bundle_dir):
         daemon, thread, client = start_daemon(serve_bundle_dir, queue_limit=1)
         try:
-            _cati, engine, _gen = daemon.model_host.acquire()
+            engine = daemon.model_host.engine
             gate = BlockableEngine(engine)
             gate.block()
             length = daemon.model_host.config.vuc_length

@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.asm.instruction import FunctionListing, make
 from repro.asm.operands import Imm, Label, Mem, Reg
@@ -316,3 +316,32 @@ def test_stream_slice_equals_per_window_generalization(mini_cati, window, functi
     encoder = mini_cati.encoder
     ids = encoder.encode_stream(stream)
     assert np.array_equal(ids, encoder.encode_ids(expected, length=2 * window + 1))
+
+
+@pytest.fixture(scope="module")
+def seeded_stream():
+    binary = GccCompiler().compile_fresh(seed=5, name="subset", opt_level=1)
+    return extract_vuc_stream(strip(binary), extents_from_debug(binary), WINDOW,
+                              sites=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.integers(0, 10_000), max_size=12))
+@example(rows=[])
+@example(rows=[7, 7, 0, 7])
+def test_subset_is_a_standalone_stream(mini_cati, seeded_stream, rows):
+    """``subset(rows)`` holds only its rows' windows, laid end to end, and
+    encodes to the whole stream's id rows bit for bit, however the rows repeat
+    or reorder, and when there are none."""
+    stream = seeded_stream
+    rows = [row % len(stream) for row in rows]
+    sub = stream.subset(rows)
+    assert len(sub.tokens) == len(rows) * (2 * WINDOW + 1)
+    windows = stream.windows()
+    assert sub.windows() == [windows[row] for row in rows]
+    assert sub.variable_ids == [stream.variable_ids[row] for row in rows]
+    encoder = mini_cati.encoder
+    ids = encoder.encode_stream(sub)
+    expected = encoder.encode_stream(stream)[np.asarray(rows, dtype=np.intp)]
+    assert ids.dtype == expected.dtype and ids.shape == expected.shape
+    assert ids.tobytes() == expected.tobytes()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,26 @@ def test_stream_from_packed(wire_windows, data):
     body = data.draw(mutate_json(wire_windows))
     typed_only(lambda: protocol.stream_from_packed(
         body.get("windows_packed"), body.get("variable_ids"), 2))
+
+
+@SETTINGS
+@given(body=st.fixed_dictionaries({}, optional={
+    field: JSON | st.floats() for field in ("on_error", "deadline_ms", "model_dir")}))
+def test_request_envelope(body):
+    """Any JSON value of an envelope field parses to a usable value or
+    raises a typed error (a 400)."""
+    checks = (
+        (protocol.on_error_field, lambda value: value in ("raise", "skip")),
+        (lambda request: protocol.deadline_field(request, None),
+         lambda value: value is None or 0 <= value <= threading.TIMEOUT_MAX),
+        (protocol.model_dir_field, lambda value: value is None or isinstance(value, str)),
+    )
+    for parse, usable in checks:
+        try:
+            value = parse(body)
+        except CatiError:
+            continue
+        assert usable(value), (body, value)
 
 
 def shard_payload(shard: int, attempts: int) -> dict:
